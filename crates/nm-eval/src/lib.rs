@@ -18,5 +18,5 @@ pub mod harness;
 pub mod metrics;
 pub mod projection;
 
-pub use harness::{evaluate_ranking, rank_order, top_k, RankingSummary, Scorer};
+pub use harness::{evaluate_ranking, rank_key, rank_order, top_k, RankingSummary, Scorer};
 pub use metrics::{auc, hit_rate_at, mrr, ndcg_at, rank_of_first};

@@ -26,10 +26,13 @@
 //!   concurrent same-domain requests, and serves them with one shared
 //!   pass over the item table; followers block until the leader posts
 //!   their result (or their [`Deadline`] expires);
-//! * **deterministic top-K**: shard-local bounded selections merged
-//!   under the total order of [`nm_eval::rank_order`] (score
-//!   descending, then item id ascending), so results are independent
-//!   of shard boundaries, worker count, and batching;
+//! * **deterministic top-K**: shards larger than `k` keep a k-bounded
+//!   heap, smaller ones stage every candidate; the merge selects the
+//!   `k` best with `select_nth_unstable_by_key` and sorts only those.
+//!   All of it runs under the total order of [`nm_eval::rank_order`]
+//!   (score descending, NaN last, then item id ascending), compared as
+//!   its integer [`nm_eval::rank_key`], so results are independent of
+//!   shard boundaries, worker count, and batching;
 //! * a sharded **LRU cache** keyed by `(user, domain, k, epoch)`,
 //!   invalidated by bumping the epoch on snapshot reload. Degraded
 //!   answers are never inserted.
@@ -41,7 +44,7 @@ use crate::reqtrace::{DegradedKind, ExemplarRing, ReqTiming};
 use crate::snapshot::Snapshot;
 use crate::stats::Stats;
 use crate::sync::{lock, read, wait, write};
-use nm_eval::harness::{rank_order, Scorer};
+use nm_eval::harness::{rank_key, rank_order, Scorer};
 use nm_nn::checkpoint::CheckpointError;
 use nm_obs::clock::Stopwatch;
 use nm_obs::{Counter, SloDecision, Telemetry, TelemetryConfig};
@@ -106,10 +109,11 @@ pub struct EngineConfig {
     pub cache_shards: usize,
     /// Slowest-request exemplars retained for `{"op":"trace"}`.
     pub exemplar_capacity: usize,
-    /// Run the top-K merge `merge_slowdown` times (≥ 1). Anything above
-    /// 1 is a deliberate perf-bug injection used by `scripts/ci.sh` to
-    /// prove the bench regression gate actually fires; overridable via
-    /// the `NMCDR_BENCH_SLOW_MERGE` env var.
+    /// Top-K merge work multiplier (≥ 1). Anything above 1 adds
+    /// `merge_slowdown - 1` full sorts of a throwaway pool clone: a
+    /// deliberate perf-bug injection used by `scripts/ci.sh` to prove
+    /// the bench regression gate actually fires; overridable via the
+    /// `NMCDR_BENCH_SLOW_MERGE` env var.
     pub merge_slowdown: u32,
     /// Retry/breaker/degraded-mode tuning.
     pub resilience: ResilienceConfig,
@@ -146,21 +150,24 @@ impl Default for EngineConfig {
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// One `(item, score)` candidate pool per in-flight request, appended
-/// to by shard workers under a short lock.
-type CandidatePools = Vec<Mutex<Vec<(u32, f32)>>>;
+/// One candidate pool per in-flight request, appended to by shard
+/// workers under a short lock. Each candidate is its [`rank_key`] (which
+/// holds the item id) and its score with its exact bits: the workers
+/// compute the keys while they score, so the merge compares integers.
+type CandidatePools = Vec<Mutex<Vec<(u64, f32)>>>;
 
 /// Cache-key epoch reserved for the stale cache: entries are last good
 /// answers keyed only by `(user, domain, k)`, surviving reloads.
 const STALE_EPOCH: u64 = u64::MAX;
 
-/// Heap entry ordered by [`rank_order`]: `Greater` means *worse*
-/// ranked, so a max-heap's root is the worst retained candidate.
+/// Heap entry ordered by [`rank_order`] (compared through its
+/// [`rank_key`]): `Greater` means *worse* ranked, so a max-heap's root
+/// is the worst retained candidate.
 struct HeapPair((u32, f32));
 
 impl PartialEq for HeapPair {
     fn eq(&self, other: &Self) -> bool {
-        rank_order(&self.0, &other.0) == std::cmp::Ordering::Equal
+        rank_key(&self.0) == rank_key(&other.0)
     }
 }
 
@@ -174,7 +181,7 @@ impl PartialOrd for HeapPair {
 
 impl Ord for HeapPair {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        rank_order(&self.0, &other.0)
+        rank_key(&self.0).cmp(&rank_key(&other.0))
     }
 }
 
@@ -203,7 +210,7 @@ impl BoundedTopK {
         if self.heap.len() < self.k {
             self.heap.push(HeapPair(pair));
         } else if let Some(worst) = self.heap.peek() {
-            if rank_order(&pair, &worst.0) == std::cmp::Ordering::Less {
+            if rank_key(&pair) < rank_key(&worst.0) {
                 self.heap.pop();
                 self.heap.push(HeapPair(pair));
             }
@@ -214,6 +221,28 @@ impl BoundedTopK {
     fn into_unordered(self) -> impl Iterator<Item = (u32, f32)> {
         self.heap.into_iter().map(|h| h.0)
     }
+}
+
+/// The best `k` of a keyed candidate `pool` under [`rank_order`], sorted
+/// best-first: select the `k` survivors by key, then sort only those.
+/// Shard append order varies with scheduling; because `rank_order` is a
+/// total order (item ids break every tie) and the key orders exactly
+/// like it, the result is the list a full sort would give, whatever
+/// order the pool arrived in.
+fn select_top_k(pool: &mut [(u64, f32)], k: usize) -> Vec<(u32, f32)> {
+    let k = k.min(pool.len());
+    if k == 0 {
+        return Vec::new();
+    }
+    pool.select_nth_unstable_by_key(k - 1, |c| c.0);
+    let best = &mut pool[..k];
+    best.sort_unstable_by_key(|c| c.0);
+    best.iter().map(|&(key, s)| (key as u32, s)).collect()
+}
+
+/// A scored `(item, score)` pair as a pool candidate.
+fn keyed(pair: (u32, f32)) -> (u64, f32) {
+    (rank_key(&pair), pair.1)
 }
 
 struct PoolShared {
@@ -511,15 +540,19 @@ fn drain_worklist(a: &AttemptCtx) {
         }
         let lo = s * b.shard_items;
         let hi = (lo + b.shard_items).min(b.n_items);
-        let mut staged: Vec<Vec<(u32, f32)>> = Vec::with_capacity(b.users.len());
+        let mut staged: Vec<Vec<(u64, f32)>> = Vec::with_capacity(b.users.len());
         for &user in &b.users {
             let out = &mut scores[..hi - lo];
             b.snap.score_user_range(b.domain, user, lo, hi, out);
-            let mut local = BoundedTopK::new(b.k_max);
-            for (j, &sc) in out.iter().enumerate() {
-                local.push(((lo + j) as u32, sc));
+            let scored = (lo as u32..).zip(out.iter().copied());
+            if hi - lo <= b.k_max {
+                // The heap could not reject anything: stage it all.
+                staged.push(scored.map(keyed).collect());
+            } else {
+                let mut local = BoundedTopK::new(b.k_max);
+                scored.for_each(|p| local.push(p));
+                staged.push(local.into_unordered().map(keyed).collect());
             }
-            staged.push(local.into_unordered().collect());
         }
         for (r, chunk) in staged.into_iter().enumerate() {
             lock(&b.candidates[r]).extend(chunk);
@@ -1005,7 +1038,12 @@ impl Engine {
             n_items,
             pass,
             status,
-            candidates: batch.iter().map(|_| Mutex::new(Vec::new())).collect(),
+            // Room for every shard's contribution up front: growing a
+            // catalog-sized pool by doubling would copy it repeatedly.
+            candidates: batch
+                .iter()
+                .map(|_| Mutex::new(Vec::with_capacity(n_shards * k_max.min(shard_items))))
+                .collect(),
             chaos: self.chaos.clone(),
         });
 
@@ -1122,18 +1160,15 @@ impl Engine {
             .enumerate()
             .map(|(r, req)| {
                 let mut pool = lock(&ctx.candidates[r]);
-                // Injected perf bug for the CI gate self-test: redo the
-                // sort on throwaway clones of the unsorted pool.
+                // Injected perf bug for the CI gate self-test: a full
+                // sort of a throwaway copy of the unsorted pool.
                 for _ in 1..slowdown {
-                    let mut again = pool.clone();
+                    let mut again: Vec<(u32, f32)> =
+                        pool.iter().map(|&(key, s)| (key as u32, s)).collect();
                     again.sort_by(rank_order);
                     std::hint::black_box(&again);
                 }
-                // Shard append order varies with scheduling; the total
-                // order of rank_order makes the final sort canonical.
-                pool.sort_by(rank_order);
-                pool.truncate(req.k);
-                Arc::new(std::mem::take(&mut *pool))
+                Arc::new(select_top_k(&mut pool, req.k))
             })
             .collect();
         let timing = BatchTiming {
@@ -1181,6 +1216,43 @@ mod tests {
             let mut got: Vec<(u32, f32)> = heap.into_unordered().collect();
             got.sort_by(rank_order);
             assert_eq!(got, want, "k={k}");
+        }
+    }
+
+    /// `rank_order` must be a total order even with NaN scores: the std
+    /// sorts may panic on a comparator that is not, and the heap's
+    /// retained set would depend on arrival order.
+    #[test]
+    fn sort_select_and_heap_agree_on_nan_heavy_pools_under_permutation() {
+        let mut rng = TensorRng::seed_from(29);
+        let pool: Vec<(u32, f32)> = (0..400u32)
+            .map(|i| {
+                let s = match rng.index(5) {
+                    0 | 1 => f32::NAN,
+                    2 => -0.0,
+                    _ => rng.uniform(-2.0, 2.0).floor(),
+                };
+                (i, s)
+            })
+            .collect();
+        let bits = |v: &[(u32, f32)]| v.iter().map(|p| (p.0, p.1.to_bits())).collect::<Vec<_>>();
+        let mut shuffled = pool.clone();
+        for k in [0usize, 1, 17, 256, 399, 400, 500] {
+            let want = bits(&top_k(&pool, k));
+            for round in 0..5 {
+                for i in (1..shuffled.len()).rev() {
+                    shuffled.swap(i, rng.index(i + 1));
+                }
+                assert_eq!(bits(&top_k(&shuffled, k)), want, "sort k={k} round {round}");
+                let mut pool: Vec<(u64, f32)> = shuffled.iter().copied().map(keyed).collect();
+                let selected = select_top_k(&mut pool, k);
+                let mut heap = BoundedTopK::new(k);
+                shuffled.iter().for_each(|&p| heap.push(p));
+                let mut kept: Vec<(u32, f32)> = heap.into_unordered().collect();
+                kept.sort_by(rank_order);
+                assert_eq!(bits(&selected), want, "select k={k} round {round}");
+                assert_eq!(bits(&kept), want, "heap k={k} round {round}");
+            }
         }
     }
 

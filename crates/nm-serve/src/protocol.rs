@@ -158,28 +158,41 @@ fn domain_name(domain: usize) -> &'static str {
     }
 }
 
-/// `topk` success response.
+/// `topk` success response. Written straight into one string, byte
+/// for byte what the equivalent [`Json`] tree would encode to (numbers
+/// through the same `f64` formatting, non-finite scores as `null`):
+/// this is every top-K reply, and the tree would be a thousand nodes.
 pub fn encode_topk_response(
     user: u32,
     domain: usize,
     cached: bool,
     items: &[(u32, f32)],
 ) -> String {
-    Json::Obj(vec![
-        ("ok".into(), Json::Bool(true)),
-        ("user".into(), Json::Num(user as f64)),
-        ("domain".into(), Json::Str(domain_name(domain).into())),
-        ("cached".into(), Json::Bool(cached)),
-        (
-            "items".into(),
-            Json::Arr(items.iter().map(|&(i, _)| Json::Num(i as f64)).collect()),
-        ),
-        (
-            "scores".into(),
-            Json::Arr(items.iter().map(|&(_, s)| Json::Num(s as f64)).collect()),
-        ),
-    ])
-    .encode()
+    use std::fmt::Write;
+    let mut out = String::with_capacity(80 + 32 * items.len());
+    let _ = write!(
+        out,
+        "{{\"ok\":true,\"user\":{user},\"domain\":\"{}\",\"cached\":{cached},\"items\":[",
+        domain_name(domain)
+    );
+    for (n, &(i, _)) in items.iter().enumerate() {
+        let sep = if n == 0 { "" } else { "," };
+        let _ = write!(out, "{sep}{i}");
+    }
+    out.push_str("],\"scores\":[");
+    for (n, &(_, s)) in items.iter().enumerate() {
+        if n > 0 {
+            out.push(',');
+        }
+        let s = f64::from(s);
+        if s.is_finite() {
+            let _ = write!(out, "{s}");
+        } else {
+            out.push_str("null");
+        }
+    }
+    out.push_str("]}");
+    out
 }
 
 /// `topk` response served in a degraded mode: `ok` stays true (the
@@ -358,6 +371,40 @@ mod tests {
         let v = Json::parse(&e).unwrap();
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));
         assert!(v.get("error").unwrap().as_str().unwrap().contains("bad"));
+    }
+
+    #[test]
+    fn topk_response_matches_the_json_tree_encoding() {
+        let items = [
+            (0, 0.1f32),
+            (u32::MAX, -0.0),
+            (7, f32::NAN),
+            (3, f32::INFINITY),
+            (12, 1e-45),
+            (5, -3.4e38),
+            (9, 0.5),
+        ];
+        for (n, cached, domain) in [(0, false, 0), (1, true, 1), (items.len(), false, 1)] {
+            let list = &items[..n];
+            let tree = Json::Obj(vec![
+                ("ok".into(), Json::Bool(true)),
+                ("user".into(), Json::Num(4_000_000_000u32 as f64)),
+                ("domain".into(), Json::Str(domain_name(domain).into())),
+                ("cached".into(), Json::Bool(cached)),
+                (
+                    "items".into(),
+                    Json::Arr(list.iter().map(|&(i, _)| Json::Num(i as f64)).collect()),
+                ),
+                (
+                    "scores".into(),
+                    Json::Arr(list.iter().map(|&(_, s)| Json::Num(s as f64)).collect()),
+                ),
+            ]);
+            assert_eq!(
+                encode_topk_response(4_000_000_000, domain, cached, list),
+                tree.encode()
+            );
+        }
     }
 
     #[test]

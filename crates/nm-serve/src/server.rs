@@ -257,6 +257,9 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             Ok(s) => s,
             Err(_) => continue,
         };
+        // Replies are single writes (see `write_frame`); with Nagle off
+        // each leaves at once instead of waiting on the peer's ACK.
+        let _ = stream.set_nodelay(true);
         if !shared.slots.try_acquire() {
             // Saturated: shed this connection with a structured error
             // rather than stalling the accept loop behind a slot.
@@ -268,7 +271,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 "overloaded: {} connections already active, retry later",
                 shared.cfg.max_conns
             ));
-            let _ = s.write_all(msg.as_bytes()).and_then(|_| s.write_all(b"\n"));
+            let _ = write_frame(&mut s, msg);
             continue;
         }
         if shared.stopping.load(Ordering::Acquire) {
@@ -294,13 +297,15 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-/// Writes one newline-terminated reply, best-effort (the peer may
-/// already be gone when we report a protocol error).
-fn send_line(writer: &mut TcpStream, msg: &str) {
-    let _ = writer
-        .write_all(msg.as_bytes())
-        .and_then(|_| writer.write_all(b"\n"))
-        .and_then(|_| writer.flush());
+/// Writes one reply frame: `body` and its terminating newline in a
+/// single `write_all`, then a flush. Body and newline as two writes
+/// would leave the newline as a small second segment, which Nagle holds
+/// back until the peer's delayed ACK arrives. Protocol-error and shed
+/// replies ignore the result: the peer may already be gone.
+fn write_frame<W: Write>(writer: &mut W, mut body: String) -> std::io::Result<()> {
+    body.push('\n');
+    writer.write_all(body.as_bytes())?;
+    writer.flush()
 }
 
 fn handle_connection(stream: TcpStream, shared: &Shared, conn: u64) -> std::io::Result<()> {
@@ -323,9 +328,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared, conn: u64) -> std::io::
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 stats.errors.inc();
                 stats.proto_timeouts.inc();
-                send_line(
+                let _ = write_frame(
                     &mut writer,
-                    &protocol::encode_proto_error(
+                    protocol::encode_proto_error(
                         "timeout",
                         "idle timeout: no complete frame arrived in time; closing",
                     ),
@@ -351,7 +356,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared, conn: u64) -> std::io::
                 stats.proto_torn.inc();
                 protocol::encode_proto_error("torn", "connection closed mid-frame")
             };
-            send_line(&mut writer, &msg);
+            let _ = write_frame(&mut writer, msg);
             return Ok(());
         }
         let line = match String::from_utf8(buf) {
@@ -360,9 +365,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared, conn: u64) -> std::io::
                 stats.requests.inc();
                 stats.errors.inc();
                 stats.proto_malformed.inc();
-                send_line(
+                let _ = write_frame(
                     &mut writer,
-                    &protocol::encode_proto_error("malformed", "frame is not valid UTF-8"),
+                    protocol::encode_proto_error("malformed", "frame is not valid UTF-8"),
                 );
                 continue; // framing is intact; keep the connection
             }
@@ -411,9 +416,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared, conn: u64) -> std::io::
                 return Ok(());
             }
         }
-        writer.write_all(response.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
+        write_frame(&mut writer, response)?;
         if shutdown || shared.stopping.load(Ordering::Acquire) {
             // Wake the accept loop (it blocks in accept()) so it
             // observes the stop flag and exits.
@@ -634,6 +637,38 @@ mod tests {
         out
     }
 
+    /// Records the bytes of every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_reply_frame_is_one_write_ending_in_newline() {
+        let frames = [
+            protocol::encode_ok(vec![]),
+            protocol::encode_error("overloaded: 1 connections already active, retry later"),
+            protocol::encode_proto_error("torn", "connection closed mid-frame"),
+            protocol::encode_topk_response(3, 0, false, &[(1, 0.5), (2, -0.25)]),
+        ];
+        for body in frames {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, body.clone()).unwrap();
+            assert_eq!(w.writes.len(), 1, "one write per frame: {body}");
+            assert_eq!(w.writes[0], format!("{body}\n").into_bytes());
+        }
+    }
+
     #[test]
     fn serves_topk_stats_and_errors_over_tcp() {
         let mut server = test_server();
@@ -721,14 +756,27 @@ mod tests {
         assert!(err.contains("overloaded"), "unexpected error: {err}");
         assert!(engine.stats().shed.get() >= 1);
 
-        // Releasing the holder frees the slot and service resumes.
+        // Releasing the holder frees the slot and service resumes. Until
+        // its handler sees the hang-up, a new connection is still shed:
+        // the server replies and closes, so the request written into it
+        // may be answered by a reset (a failed write or read) rather
+        // than the overloaded reply. Either way, not served yet: retry.
         drop(holder);
+        let try_topk = || -> std::io::Result<Json> {
+            let stream = TcpStream::connect(addr)?;
+            let mut writer = stream.try_clone()?;
+            writer.write_all(b"{\"op\":\"topk\",\"user\":1,\"domain\":\"a\",\"k\":3}\n")?;
+            let mut resp = String::new();
+            BufReader::new(stream).read_line(&mut resp)?;
+            Json::parse(resp.trim()).map_err(|e| std::io::Error::other(format!("{e:?}")))
+        };
         let mut served = false;
         for _ in 0..200 {
-            let resps = roundtrip(addr, &[r#"{"op":"topk","user":1,"domain":"a","k":3}"#]);
-            if resps[0].get("ok").unwrap().as_bool() == Some(true) {
-                served = true;
-                break;
+            if let Ok(resp) = try_topk() {
+                if resp.get("ok").unwrap().as_bool() == Some(true) {
+                    served = true;
+                    break;
+                }
             }
             thread::sleep(Duration::from_millis(5));
         }

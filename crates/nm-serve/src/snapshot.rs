@@ -25,12 +25,15 @@
 //! Scoring here is **bit-for-bit identical** to the offline eval path:
 //! the dot head replicates `dot_scores`' sequential dot, and the MLP
 //! head replicates `Tensor::matmul`'s k-ascending zero-skipping
-//! accumulation (via [`nm_tensor::vecmat_blocked`]) with the bias added
-//! after the full accumulation, exactly like the tape's broadcast add.
+//! accumulation (the per-element order of [`nm_tensor::vecmat_blocked`])
+//! with the bias added after the full accumulation, exactly like the
+//! tape's broadcast add. The MLP kernel sums the user's share of the
+//! first layer once per call and resumes every item from it, which
+//! keeps that order (see `MlpHead::score_items`).
 
 use nm_nn::checkpoint::{read_tensor, read_u32, write_tensor, write_u32, CheckpointError};
 use nm_nn::Activation;
-use nm_tensor::{sigmoid_scalar, vecmat_blocked, vecmat_nt_blocked, Tensor};
+use nm_tensor::{sigmoid_scalar, vecmat_nt_blocked, Tensor};
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -98,12 +101,132 @@ fn act_from_tag(t: u32) -> Result<Activation, CheckpointError> {
     })
 }
 
+#[inline(always)]
 fn apply_act(act: Activation, xs: &mut [f32]) {
     match act {
         Activation::Relu => xs.iter_mut().for_each(|x| *x = x.max(0.0)),
         Activation::Tanh => xs.iter_mut().for_each(|x| *x = x.tanh()),
         Activation::Sigmoid => xs.iter_mut().for_each(|x| *x = sigmoid_scalar(*x)),
         Activation::None => {}
+    }
+}
+
+/// Items whose last-layer logits [`MlpHead::score_items`] computes
+/// together, one per lane.
+const ITEM_BLOCK: usize = 8;
+
+/// `acc[j] += x[kk] * w[kk * n + j]` for `kk` ascending, skipping
+/// `x[kk] == 0.0`: per output element, exactly the additions (and their
+/// order) of [`nm_tensor::vecmat_blocked`], which blocks only the `j`
+/// axis. Blocking here also only splits `j`: into register-sized lane
+/// chunks, each accumulated over all of `x` before the next.
+#[inline(always)]
+fn accumulate(acc: &mut [f32], x: &[f32], w: &[f32]) {
+    let n = acc.len();
+    let mut j0 = 0;
+    while j0 < n {
+        j0 += match n - j0 {
+            16.. => lane_chunk::<16>(acc, x, w, n, j0),
+            8.. => lane_chunk::<8>(acc, x, w, n, j0),
+            4.. => lane_chunk::<4>(acc, x, w, n, j0),
+            _ => lane_chunk::<1>(acc, x, w, n, j0),
+        };
+    }
+}
+
+/// [`accumulate`] over the `L` outputs `j0..j0 + L`, held in a local
+/// array so they stay in registers across the `kk` loop. Returns `L`.
+#[inline(always)]
+fn lane_chunk<const L: usize>(acc: &mut [f32], x: &[f32], w: &[f32], n: usize, j0: usize) -> usize {
+    let out = &mut acc[j0..j0 + L];
+    let mut a = [0.0f32; L];
+    a.copy_from_slice(out);
+    for (kk, &xv) in x.iter().enumerate() {
+        if xv == 0.0 {
+            continue;
+        }
+        let row = &w[kk * n + j0..kk * n + j0 + L];
+        for (av, &wv) in a.iter_mut().zip(row) {
+            *av += xv * wv;
+        }
+    }
+    out.copy_from_slice(&a);
+    L
+}
+
+/// Items whose layer-0 sums [`accumulate_group`] interleaves.
+const GROUP: usize = 4;
+
+/// [`accumulate`] for `B` inputs at once, each starting from `init`:
+/// row `b` of `out` (`B` rows of `n = init.len()`) is `init` plus
+/// `x[b][kk] * w[kk * n + j]` for `kk` ascending. Only for inputs
+/// without zeros, so there is nothing to skip: per element, the same
+/// additions in the same order as `B` separate [`accumulate`] calls.
+/// Interleaving the rows overlaps their add chains, which one row at a
+/// time would wait on.
+#[inline(always)]
+fn accumulate_group<const B: usize>(out: &mut [f32], init: &[f32], x: [&[f32]; B], w: &[f32]) {
+    let n = init.len();
+    let mut j0 = 0;
+    while j0 < n {
+        j0 += match n - j0 {
+            16.. => group_chunk::<16, B>(out, init, x, w, j0),
+            8.. => group_chunk::<8, B>(out, init, x, w, j0),
+            4.. => group_chunk::<4, B>(out, init, x, w, j0),
+            _ => group_chunk::<1, B>(out, init, x, w, j0),
+        };
+    }
+}
+
+/// [`accumulate_group`] over the `L` outputs `j0..j0 + L` of every
+/// row, held in registers across the `kk` loop. Returns `L`.
+#[inline(always)]
+fn group_chunk<const L: usize, const B: usize>(
+    out: &mut [f32],
+    init: &[f32],
+    x: [&[f32]; B],
+    w: &[f32],
+    j0: usize,
+) -> usize {
+    let n = init.len();
+    // Offsets instead of `chunks_exact(n)`: `n` is only known at run
+    // time, and each chunking would cost an integer division per call.
+    let rows = x[0].len();
+    let x = x.map(|xb| &xb[..rows]);
+    let mut a = [[0.0f32; L]; B];
+    for ab in a.iter_mut() {
+        ab.copy_from_slice(&init[j0..j0 + L]);
+    }
+    for kk in 0..rows {
+        let row = &w[kk * n + j0..kk * n + j0 + L];
+        for (ab, xb) in a.iter_mut().zip(&x) {
+            let xv = xb[kk];
+            for (av, &wv) in ab.iter_mut().zip(row) {
+                *av += xv * wv;
+            }
+        }
+    }
+    for (b, ab) in a.iter().enumerate() {
+        out[b * n + j0..b * n + j0 + L].copy_from_slice(ab);
+    }
+    L
+}
+
+/// Whether `x` has an element `== 0.0` (either sign), without an
+/// early exit so the check vectorizes.
+#[inline(always)]
+fn has_zero(x: &[f32]) -> bool {
+    x.iter().fold(false, |z, &v| z | (v == 0.0))
+}
+
+/// Adds a layer's bias after its full accumulation, like the tape's
+/// broadcast add.
+#[inline(always)]
+fn add_bias(y: &mut [f32], bias: Option<&Tensor>) {
+    if let Some(b) = bias {
+        for (yv, &bv) in y.iter_mut().zip(b.data()) {
+            *yv += bv;
+        }
     }
 }
 
@@ -121,26 +244,167 @@ impl MlpHead {
         }
     }
 
-    /// Forward pass on one concatenated `(u ‖ v)` input row. Returns
-    /// the single logit.
-    fn forward(&self, x: Vec<f32>) -> f32 {
-        let last = self.layers.len() - 1;
-        let mut cur = x;
-        for (i, (w, b)) in self.layers.iter().enumerate() {
-            let mut y = vecmat_blocked(
-                &cur,
-                w.data(),
-                w.rows(),
-                w.cols(),
-                b.as_ref().map(|t| t.data()),
-            );
-            if i < last {
-                apply_act(self.hidden_act, &mut y);
-            }
-            cur = y;
+    /// Scores user row `u` against each row of `items`, one logit per
+    /// item into `out`. The shared kernel of [`Snapshot::score_pairs`]
+    /// and [`Snapshot::score_user_range`].
+    ///
+    /// Bit-identical to pushing each `(u ‖ v)` row through
+    /// `vecmat_blocked` layer by layer, because every output element
+    /// sees the same additions in the same order:
+    /// * layer 0 accumulates k-ascending, so its first `u.len()` terms
+    ///   are the same for every item. They are summed once into a
+    ///   prefix, and each item resumes from it over its own `v` terms,
+    ///   zero skip included, before the bias and activation. [`GROUP`]
+    ///   items without zeros run interleaved ([`accumulate_group`]);
+    /// * hidden layers run on two reused scratch rows;
+    /// * the last layer (one logit) scores [`ITEM_BLOCK`] items at once,
+    ///   one item per lane, each lane still summing k-ascending.
+    ///
+    /// On x86-64 CPUs with AVX-512F or AVX2 the same code runs compiled
+    /// for 16- or 8-wide vectors. That only widens the lanes: every lane
+    /// still does one IEEE multiply and one add per term (Rust never
+    /// fuses them into an FMA), so the scores are the same bits on every
+    /// path.
+    fn score_items<'a>(&self, u: &[f32], items: impl Iterator<Item = &'a [f32]>, out: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the running CPU supports AVX-512F, checked just above.
+            unsafe { self.score_items_avx512(u, items, out) };
+            return;
         }
-        debug_assert_eq!(cur.len(), 1, "prediction head must emit one logit");
-        cur[0]
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the running CPU supports AVX2, checked just above.
+            unsafe { self.score_items_avx2(u, items, out) };
+            return;
+        }
+        self.score_items_with(u, items, out);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn score_items_avx512<'a>(
+        &self,
+        u: &[f32],
+        items: impl Iterator<Item = &'a [f32]>,
+        out: &mut [f32],
+    ) {
+        self.score_items_with(u, items, out);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn score_items_avx2<'a>(
+        &self,
+        u: &[f32],
+        items: impl Iterator<Item = &'a [f32]>,
+        out: &mut [f32],
+    ) {
+        self.score_items_with(u, items, out);
+    }
+
+    /// The body of [`MlpHead::score_items`], inlined into each entry so
+    /// it is compiled for that entry's target features.
+    #[inline(always)]
+    fn score_items_with<'a>(
+        &self,
+        u: &[f32],
+        mut items: impl Iterator<Item = &'a [f32]>,
+        out: &mut [f32],
+    ) {
+        let last = self.layers.len() - 1;
+        let (w0, b0) = &self.layers[0];
+        let (du, n0) = (u.len(), w0.cols());
+        let (w_u, w_v) = w0.data().split_at(du * n0);
+        let mut prefix = vec![0.0f32; n0];
+        accumulate(&mut prefix, u, w_u);
+        if last == 0 {
+            // A single layer is its own last layer: (u ‖ v) → logit.
+            for (v, o) in items.zip(out.iter_mut()) {
+                let y = std::slice::from_mut(o);
+                y.copy_from_slice(&prefix);
+                accumulate(y, v, w_v);
+                add_bias(y, b0.as_ref());
+            }
+            return;
+        }
+        let width = self.layers.iter().map(|(w, _)| w.cols()).max().unwrap_or(1);
+        let mut cur = vec![0.0f32; width];
+        let mut nxt = vec![0.0f32; width];
+        let (w_l, b_l) = &self.layers[last];
+        // Layer-0 outputs of one block of items, one row of `n0` each.
+        let mut h0 = vec![0.0f32; ITEM_BLOCK * n0];
+        // The last layer's inputs for one block of items, input-major:
+        // `block[kk * ITEM_BLOCK + b]` is input `kk` of item `b`.
+        let mut block = vec![0.0f32; w_l.rows() * ITEM_BLOCK];
+        for outs in out.chunks_mut(ITEM_BLOCK) {
+            let mut vs: [&[f32]; ITEM_BLOCK] = [&[]; ITEM_BLOCK];
+            for (slot, v) in vs.iter_mut().zip(items.by_ref().take(outs.len())) {
+                *slot = v;
+            }
+            let nb = outs.len();
+            for g0 in (0..nb).step_by(GROUP) {
+                let g1 = (g0 + GROUP).min(nb);
+                let hg = &mut h0[g0 * n0..g1 * n0];
+                match <[&[f32]; GROUP]>::try_from(&vs[g0..g1]) {
+                    Ok(g) if !g.iter().any(|v| has_zero(v)) => {
+                        accumulate_group(hg, &prefix, g, w_v);
+                    }
+                    _ => {
+                        for (i, v) in vs[g0..g1].iter().enumerate() {
+                            let h = &mut hg[i * n0..(i + 1) * n0];
+                            h.copy_from_slice(&prefix);
+                            accumulate(h, v, w_v);
+                        }
+                    }
+                }
+            }
+            for b in 0..nb {
+                add_bias(&mut h0[b * n0..(b + 1) * n0], b0.as_ref());
+            }
+            apply_act(self.hidden_act, &mut h0[..nb * n0]);
+            if last == 1 {
+                // Layer 0 feeds the last layer: transpose the block
+                // whole, one column of `ITEM_BLOCK` lanes per input.
+                for (kk, col) in block.chunks_exact_mut(ITEM_BLOCK).enumerate() {
+                    for (b, c) in col.iter_mut().enumerate() {
+                        *c = h0[b * n0 + kk];
+                    }
+                }
+            } else {
+                for b in 0..nb {
+                    let mut x: &[f32] = &h0[b * n0..(b + 1) * n0];
+                    for (w, bias) in &self.layers[1..last] {
+                        let n = w.cols();
+                        let y = &mut nxt[..n];
+                        y.fill(0.0);
+                        accumulate(y, x, w.data());
+                        add_bias(y, bias.as_ref());
+                        apply_act(self.hidden_act, y);
+                        std::mem::swap(&mut cur, &mut nxt);
+                        x = &cur[..n];
+                    }
+                    for (kk, &xv) in x.iter().enumerate() {
+                        block[kk * ITEM_BLOCK + b] = xv;
+                    }
+                }
+            }
+            // Lanes past `outs.len()` hold stale inputs; their logits
+            // are computed and dropped.
+            let mut acc = [0.0f32; ITEM_BLOCK];
+            for (xs, &wv) in block.chunks_exact(ITEM_BLOCK).zip(w_l.data()) {
+                for (a, &x) in acc.iter_mut().zip(xs) {
+                    // The zero skip as a lane select, not a branch on
+                    // (often zero) ReLU outputs: adding -0.0 leaves
+                    // every f32 unchanged, -0.0 and NaN included.
+                    *a += if x == 0.0 { -0.0 } else { x * wv };
+                }
+            }
+            if let Some(b) = b_l {
+                acc.iter_mut().for_each(|a| *a += b.data()[0]);
+            }
+            outs.copy_from_slice(&acc[..outs.len()]);
+        }
     }
 
     fn validate(&self, in_dim: usize) -> Result<(), CheckpointError> {
@@ -216,18 +480,22 @@ impl Snapshot {
                     ur.iter().zip(ir).map(|(a, b)| a * b).sum()
                 })
                 .collect(),
-            HeadKind::Mlp(h) => users
-                .iter()
-                .zip(items)
-                .map(|(&u, &i)| {
-                    let ur = d.users.row_slice(u as usize);
-                    let ir = d.items.row_slice(i as usize);
-                    let mut x = Vec::with_capacity(ur.len() + ir.len());
-                    x.extend_from_slice(ur);
-                    x.extend_from_slice(ir);
-                    h.forward(x)
-                })
-                .collect(),
+            HeadKind::Mlp(h) => {
+                // One kernel call per run of equal users, so the user
+                // prefix is shared across the run.
+                let mut out = vec![0.0f32; users.len()];
+                let mut lo = 0;
+                for run in users.chunk_by(|a, b| a == b) {
+                    let hi = lo + run.len();
+                    h.score_items(
+                        d.users.row_slice(run[0] as usize),
+                        items[lo..hi].iter().map(|&i| d.items.row_slice(i as usize)),
+                        &mut out[lo..hi],
+                    );
+                    lo = hi;
+                }
+                out
+            }
         }
     }
 
@@ -254,12 +522,8 @@ impl Snapshot {
             }
             HeadKind::Mlp(h) => {
                 let k = d.items.cols();
-                for (j, o) in (lo..hi).zip(out.iter_mut()) {
-                    let mut x = Vec::with_capacity(ur.len() + k);
-                    x.extend_from_slice(ur);
-                    x.extend_from_slice(d.items.row_slice(j));
-                    *o = h.forward(x);
-                }
+                let rows = &d.items.data()[lo * k..hi * k];
+                h.score_items(ur, rows.chunks_exact(k), out);
             }
         }
     }
@@ -406,32 +670,71 @@ mod tests {
         }
     }
 
-    fn mlp_snapshot() -> Snapshot {
+    /// A random MLP head `in_dim -> widths... -> 1` with biases.
+    fn random_head(
+        in_dim: usize,
+        widths: &[usize],
+        act: Activation,
+        rng: &mut TensorRng,
+    ) -> MlpHead {
+        let mut d = in_dim;
+        let layers = widths
+            .iter()
+            .chain(std::iter::once(&1))
+            .map(|&n| {
+                let layer = (
+                    Tensor::randn(d, n, 0.5, rng),
+                    Some(Tensor::randn(1, n, 0.5, rng)),
+                );
+                d = n;
+                layer
+            })
+            .collect();
+        MlpHead {
+            layers,
+            hidden_act: act,
+        }
+    }
+
+    fn mlp_snapshot_with(widths: &[usize]) -> Snapshot {
         let mut rng = TensorRng::seed_from(2);
         let mk = |rng: &mut TensorRng| {
             let d = 4;
             DomainSnapshot {
                 users: Tensor::randn(8, d, 1.0, rng),
                 items: Tensor::randn(12, d, 1.0, rng),
-                head: HeadKind::Mlp(MlpHead {
-                    layers: vec![
-                        (
-                            Tensor::randn(2 * d, d, 0.5, rng),
-                            Some(Tensor::randn(1, d, 0.5, rng)),
-                        ),
-                        (
-                            Tensor::randn(d, 1, 0.5, rng),
-                            Some(Tensor::randn(1, 1, 0.5, rng)),
-                        ),
-                    ],
-                    hidden_act: Activation::Relu,
-                }),
+                head: HeadKind::Mlp(random_head(2 * d, widths, Activation::Relu, rng)),
             }
         };
         Snapshot {
             model: "NMCDR".into(),
             domains: [mk(&mut rng), mk(&mut rng)],
         }
+    }
+
+    fn mlp_snapshot() -> Snapshot {
+        mlp_snapshot_with(&[4])
+    }
+
+    /// The per-item composition the kernel replaces: one `(u ‖ v)` row
+    /// through `vecmat_blocked` per layer.
+    fn reference_forward(head: &MlpHead, u: &[f32], v: &[f32]) -> f32 {
+        let last = head.layers.len() - 1;
+        let mut cur: Vec<f32> = u.iter().chain(v).copied().collect();
+        for (i, (w, b)) in head.layers.iter().enumerate() {
+            let mut y = nm_tensor::vecmat_blocked(
+                &cur,
+                w.data(),
+                w.rows(),
+                w.cols(),
+                b.as_ref().map(|t| t.data()),
+            );
+            if i < last {
+                apply_act(head.hidden_act, &mut y);
+            }
+            cur = y;
+        }
+        cur[0]
     }
 
     #[test]
@@ -474,7 +777,7 @@ mod tests {
 
     #[test]
     fn score_user_range_matches_score_pairs() {
-        for snap in [dot_snapshot(), mlp_snapshot()] {
+        for snap in [dot_snapshot(), mlp_snapshot(), mlp_snapshot_with(&[5, 3])] {
             let n = snap.n_items(0);
             let items: Vec<u32> = (0..n as u32).collect();
             let users = vec![3u32; n];
@@ -488,6 +791,125 @@ mod tests {
     }
 
     #[test]
+    fn head_kernel_matches_per_item_reference_bit_for_bit() {
+        let mut rng = TensorRng::seed_from(9);
+        let acts = [
+            Activation::Relu,
+            Activation::Tanh,
+            Activation::Sigmoid,
+            Activation::None,
+        ];
+        // 29 = 16 + 8 + 4 + 1 hits every lane-chunk width
+        for (case, widths) in [&[][..], &[7], &[29], &[6, 3], &[29, 9]].iter().enumerate() {
+            for act in acts {
+                let (du, di) = (5, 3);
+                let head = random_head(du + di, widths, act, &mut rng);
+                // users mixed with rows whose entries are partly zero
+                // (ReLU-like inputs) to exercise the zero skip
+                let mut users = Tensor::randn(4, du, 1.0, &mut rng);
+                let mut items = Tensor::randn(13, di, 1.0, &mut rng);
+                for (j, x) in users.data_mut().iter_mut().enumerate() {
+                    if j % 3 == 0 {
+                        *x = if j % 2 == 0 { 0.0 } else { -0.0 };
+                    }
+                }
+                // Zeros in items 5 and 12 only: of the layer-0 groups
+                // 0..4, 4..8, 8..12 and 12, the first and third run the
+                // interleaved no-skip path, the others the zero skip.
+                items.data_mut()[5 * di + 1] = 0.0;
+                items.data_mut()[12 * di] = -0.0;
+                let pairs: Vec<(u32, u32)> = (0..4u32)
+                    .flat_map(|u| (0..13u32).map(move |i| (u, i)))
+                    .collect();
+                let (us, is): (Vec<u32>, Vec<u32>) = pairs.iter().copied().unzip();
+                let snap = Snapshot {
+                    model: "t".into(),
+                    domains: [0, 1].map(|_| DomainSnapshot {
+                        users: users.clone(),
+                        items: items.clone(),
+                        head: HeadKind::Mlp(head.clone()),
+                    }),
+                };
+                let got = snap.score_pairs(0, &us, &is);
+                for (&(u, i), &g) in pairs.iter().zip(&got) {
+                    let want = reference_forward(
+                        &head,
+                        users.row_slice(u as usize),
+                        items.row_slice(i as usize),
+                    );
+                    assert_eq!(
+                        g.to_bits(),
+                        want.to_bits(),
+                        "case {case} {act:?} pair ({u},{i})"
+                    );
+                }
+                // Every compiled variant of the kernel this CPU can run
+                // gives the same bits as the dispatched one.
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                for u in 0..4 {
+                    let ur = users.row_slice(u);
+                    let rows = || items.data().chunks_exact(di);
+                    let mut want = vec![0.0f32; 13];
+                    head.score_items(ur, rows(), &mut want);
+                    let mut got = vec![0.0f32; 13];
+                    head.score_items_with(ur, rows(), &mut got);
+                    assert_eq!(bits(&got), bits(&want), "portable, case {case} {act:?}");
+                    #[cfg(target_arch = "x86_64")]
+                    if std::arch::is_x86_feature_detected!("avx2") {
+                        // SAFETY: the running CPU supports AVX2.
+                        unsafe { head.score_items_avx2(ur, rows(), &mut got) };
+                        assert_eq!(bits(&got), bits(&want), "avx2, case {case} {act:?}");
+                    }
+                    #[cfg(target_arch = "x86_64")]
+                    if std::arch::is_x86_feature_detected!("avx512f") {
+                        // SAFETY: the running CPU supports AVX-512F.
+                        unsafe { head.score_items_avx512(ur, rows(), &mut got) };
+                        assert_eq!(bits(&got), bits(&want), "avx512, case {case} {act:?}");
+                    }
+                }
+            }
+        }
+        // A NaN weight on a live input poisons the score, as offline
+        // (tanh, because ReLU's `max` would clamp the NaN to zero).
+        let mut head = random_head(4, &[3], Activation::Tanh, &mut rng);
+        head.layers[0].0.data_mut()[2 * 3 + 1] = f32::NAN; // v row 0
+        let u = [0.5, -1.0];
+        let v = [2.0, 1.0];
+        let mut out = [0.0f32];
+        head.score_items(&u, std::iter::once(&v[..]), &mut out);
+        assert!(reference_forward(&head, &u, &v).is_nan());
+        assert!(out[0].is_nan(), "NaN weight must yield a NaN score");
+        // The same through the interleaved path: a full group of items
+        // without zeros.
+        let mut group = [0.0f32; GROUP];
+        head.score_items(&u, std::iter::repeat_n(&v[..], GROUP), &mut group);
+        assert!(group.iter().all(|s| s.is_nan()), "{group:?}");
+
+        // NaN weights on zero inputs are skipped, as offline: one on a
+        // zero `v` entry in layer 0, one on a hidden unit that ReLU
+        // always zeroes in the last layer.
+        let head = MlpHead {
+            layers: vec![
+                (
+                    Tensor::new(2, 2, vec![-1.0, 1.0, 1.0, f32::NAN]),
+                    Some(Tensor::new(1, 2, vec![-10.0, 0.0])),
+                ),
+                (Tensor::new(2, 1, vec![f32::NAN, 1.0]), None),
+            ],
+            hidden_act: Activation::Relu,
+        };
+        let (u, v) = ([0.5], [0.0]);
+        head.score_items(&u, std::iter::once(&v[..]), &mut out);
+        assert_eq!(out[0], 0.5);
+        assert_eq!(out[0].to_bits(), reference_forward(&head, &u, &v).to_bits());
+        // A full group whose items hold that zero must not take the
+        // interleaved path, which has no zero skip.
+        let mut group = [0.0f32; GROUP];
+        head.score_items(&u, std::iter::repeat_n(&v[..], GROUP), &mut group);
+        assert_eq!(group, [0.5; GROUP]);
+    }
+
+    #[test]
     fn mlp_forward_matches_reference() {
         // Tiny hand-checked case: identity-ish single layer.
         let head = MlpHead {
@@ -497,7 +919,9 @@ mod tests {
             )],
             hidden_act: Activation::Relu,
         };
-        assert_eq!(head.forward(vec![3.0, 4.0]), 3.0 + 8.0 + 0.5);
+        let mut out = [0.0f32];
+        head.score_items(&[3.0], std::iter::once(&[4.0][..]), &mut out);
+        assert_eq!(out[0], 3.0 + 8.0 + 0.5);
     }
 
     #[test]
