@@ -441,13 +441,27 @@ impl Tape {
         }
     }
 
-    /// Reduces an output-shaped gradient onto a broadcast operand.
-    fn reduce_for_broadcast(grad: &Tensor, bc: Broadcast) -> Tensor {
+    /// [`Tape::accumulate`] of a borrowed contribution: copied only
+    /// when `v` has no gradient yet, added in place otherwise.
+    fn accumulate_ref(&mut self, v: Var, contribution: &Tensor) {
+        if !self.nodes[v.0].needs_grad {
+            return;
+        }
+        match &mut self.nodes[v.0].grad {
+            Some(g) => g.add_assign(contribution),
+            slot @ None => *slot = Some(contribution.clone()),
+        }
+    }
+
+    /// Reduces an output-shaped gradient onto a broadcast operand;
+    /// `None` when the operand has the output's shape, so the gradient
+    /// itself is the reduction.
+    fn reduce_for_broadcast(grad: &Tensor, bc: Broadcast) -> Option<Tensor> {
         match bc {
-            Broadcast::Same => grad.clone(),
-            Broadcast::RowVector => grad.sum_axis(Axis::Rows),
-            Broadcast::ColVector => grad.sum_axis(Axis::Cols),
-            Broadcast::Scalar => Tensor::scalar(grad.sum()),
+            Broadcast::Same => None,
+            Broadcast::RowVector => Some(grad.sum_axis(Axis::Rows)),
+            Broadcast::ColVector => Some(grad.sum_axis(Axis::Cols)),
+            Broadcast::Scalar => Some(Tensor::scalar(grad.sum())),
         }
     }
 
@@ -471,49 +485,57 @@ impl Tape {
         self.nodes[loss.0].grad = Some(Tensor::scalar(1.0));
 
         for i in (0..=loss.0).rev() {
-            let Some(grad) = self.nodes[i].grad.clone() else {
+            // Taken for the sweep of node i, which only writes its
+            // parents' gradients, and put back below for `Tape::grad`.
+            let Some(grad) = self.nodes[i].grad.take() else {
                 continue;
             };
             // One profile window per node: the body below is exactly
             // node i's backward kernel (adjoint computation plus the
             // accumulate into its parents).
             let timer = profile::op_start();
-            // Clone the small op metadata; tensors inside are Rc'd.
+            // Copy out the small op metadata; tensors inside are Rc'd.
+            // Adjoints read operand values in place: an accumulate only
+            // writes gradients, never values.
             match &self.nodes[i].op {
                 Op::Leaf { .. } => {}
                 &Op::Add(a, b, bc) => {
-                    self.accumulate(a, grad.clone());
-                    self.accumulate(b, Self::reduce_for_broadcast(&grad, bc));
+                    self.accumulate_ref(a, &grad);
+                    match Self::reduce_for_broadcast(&grad, bc) {
+                        Some(gb) => self.accumulate(b, gb),
+                        None => self.accumulate_ref(b, &grad),
+                    }
                 }
                 &Op::Sub(a, b, bc) => {
-                    self.accumulate(a, grad.clone());
-                    self.accumulate(b, Self::reduce_for_broadcast(&grad, bc).neg());
+                    self.accumulate_ref(a, &grad);
+                    let gb = Self::reduce_for_broadcast(&grad, bc)
+                        .map_or_else(|| grad.neg(), |g| g.neg());
+                    self.accumulate(b, gb);
                 }
                 &Op::Mul(a, b, bc) => {
-                    let bv = self.nodes[b.0].value.clone();
-                    let av = self.nodes[a.0].value.clone();
                     // d/da: grad ⊙ b (b broadcasts onto grad's shape)
-                    self.accumulate(a, grad.mul(&bv));
+                    let ga = grad.mul(&self.nodes[b.0].value);
+                    self.accumulate(a, ga);
                     // d/db: reduce(grad ⊙ a) onto b's shape
-                    let gb = Self::reduce_for_broadcast(&grad.mul(&av), bc);
+                    let gab = grad.mul(&self.nodes[a.0].value);
+                    let gb = Self::reduce_for_broadcast(&gab, bc).unwrap_or(gab);
                     self.accumulate(b, gb);
                 }
                 &Op::Scale(a, s) => self.accumulate(a, grad.scale(s)),
-                &Op::AddScalar(a) => self.accumulate(a, grad.clone()),
+                &Op::AddScalar(a) => self.accumulate_ref(a, &grad),
                 &Op::Neg(a) => self.accumulate(a, grad.neg()),
                 &Op::Matmul(a, b) => {
-                    let av = self.nodes[a.0].value.clone();
-                    let bv = self.nodes[b.0].value.clone();
-                    self.accumulate(a, grad.matmul_nt(&bv));
-                    self.accumulate(b, av.matmul_tn(&grad));
+                    let ga = grad.matmul_nt(&self.nodes[b.0].value);
+                    self.accumulate(a, ga);
+                    let gb = self.nodes[a.0].value.matmul_tn(&grad);
+                    self.accumulate(b, gb);
                 }
                 &Op::Relu(a) => {
                     let xv = &self.nodes[a.0].value;
                     let mut g = grad.clone();
                     for (gv, &xv) in g.data_mut().iter_mut().zip(xv.data()) {
-                        if xv <= 0.0 {
-                            *gv = 0.0;
-                        }
+                        // a select, not a branch on the sign of `xv`
+                        *gv = if xv <= 0.0 { 0.0 } else { *gv };
                     }
                     self.accumulate(a, g);
                 }
@@ -593,11 +615,11 @@ impl Tape {
                     self.accumulate(x, gx);
                 }
                 &Op::RowwiseDot(a, b) => {
-                    let av = self.nodes[a.0].value.clone();
-                    let bv = self.nodes[b.0].value.clone();
                     // grad is R x 1; broadcast across columns
-                    self.accumulate(a, bv.mul(&grad));
-                    self.accumulate(b, av.mul(&grad));
+                    let ga = self.nodes[b.0].value.mul(&grad);
+                    self.accumulate(a, ga);
+                    let gb = self.nodes[a.0].value.mul(&grad);
+                    self.accumulate(b, gb);
                 }
                 &Op::SumAll(a) => {
                     let (r, c) = self.nodes[a.0].value.shape();
@@ -614,8 +636,8 @@ impl Tape {
                     self.accumulate(a, Tensor::ones(r, c).mul(&grad));
                 }
                 &Op::SumSquares(a) => {
-                    let av = self.nodes[a.0].value.clone();
-                    self.accumulate(a, av.scale(2.0 * grad.item()));
+                    let ga = self.nodes[a.0].value.scale(2.0 * grad.item());
+                    self.accumulate(a, ga);
                 }
                 Op::BceWithLogits(x, targets) => {
                     let x = *x;
@@ -662,6 +684,7 @@ impl Tape {
                     self.accumulate(a, g);
                 }
             }
+            self.nodes[i].grad = Some(grad);
             if let Some(t) = timer {
                 profile::op_finish_bwd(t, self.nodes[i].op.kind(), &self.profile_dims(i));
             }

@@ -1,6 +1,7 @@
-//! Timing benchmarks for the substrate's hot kernels: dense matmul,
-//! CSR SpMM, row gather/scatter, softmax, blocked serving vecmat, and
-//! one full autograd forward+backward of an NMCDR-shaped block.
+//! Timing benchmarks for the substrate's hot kernels: dense matmul
+//! (including NMCDR's tall-skinny shapes), CSR SpMM, row
+//! gather/scatter, softmax, blocked serving vecmat, and one full
+//! autograd forward+backward of an NMCDR-shaped block.
 
 use nm_bench::timing::{bench, black_box};
 use nm_graph::Csr;
@@ -13,6 +14,20 @@ fn bench_matmul() {
     let b = Tensor::randn(64, 64, 1.0, &mut rng);
     bench("matmul_256x64x64", || black_box(a.matmul(&b)));
     bench("matmul_tn_256x64x64", || black_box(a.matmul_tn(&a)));
+    // NMCDR's shapes: a batch or a whole embedding table times a
+    // 16 x 16 weight, and the two backward products of each.
+    for (r, k) in [(512, 32), (3000, 16)] {
+        let x = Tensor::randn(r, k, 1.0, &mut rng).relu();
+        let w = Tensor::randn(k, 16, 1.0, &mut rng);
+        let g = Tensor::randn(r, 16, 1.0, &mut rng);
+        bench(&format!("matmul_{r}x{k}x16"), || black_box(x.matmul(&w)));
+        bench(&format!("matmul_tn_{r}x{k}x16"), || {
+            black_box(x.matmul_tn(&g))
+        });
+        bench(&format!("matmul_nt_{r}x16x{k}"), || {
+            black_box(g.matmul_nt(&w))
+        });
+    }
 }
 
 fn bench_vecmat() {
@@ -48,6 +63,12 @@ fn bench_spmm() {
     bench("spmm_2000x1000_nnz10_w32", || {
         black_box(adj.spmm(dense.data(), 32))
     });
+    for w in [16, 8] {
+        let dense = Tensor::randn(1000, w, 1.0, &mut rng);
+        bench(&format!("spmm_2000x1000_nnz10_w{w}"), || {
+            black_box(adj.spmm(dense.data(), w))
+        });
+    }
     bench("csr_transpose_2000x1000", || black_box(adj.transpose()));
 }
 

@@ -1,5 +1,7 @@
 //! Compressed sparse row matrices.
 
+use nm_tensor::simd::{dispatch, SimdKernel};
+
 /// A sparse `n_rows x n_cols` matrix in CSR form with `f32` values.
 ///
 /// Invariants (checked by [`Csr::validate`], enforced by constructors):
@@ -217,7 +219,14 @@ impl Csr {
     /// Dense SpMM: `out += self * dense`, where `dense` is row-major
     /// `n_cols x width` and `out` is row-major `n_rows x width`.
     ///
-    /// The hot kernel of every GNN layer in the workspace.
+    /// The hot kernel of every GNN layer in the workspace. Each output
+    /// row is split into 16-, 8- and 4-lane panels (then single
+    /// columns); a panel is loaded from `out` into registers, gets
+    /// `value * dense[col]` added for every stored entry of the row in
+    /// CSR order, and is stored once. Per element that is exactly the
+    /// additions of the plain entry-by-entry loop, so the result has the
+    /// same bits on every [`SimdLevel`](nm_tensor::simd::SimdLevel) the
+    /// kernel is dispatched to.
     ///
     /// # Panics
     /// If slice lengths don't match the shapes.
@@ -238,15 +247,12 @@ impl Csr {
             self.n_rows,
             width
         );
-        for r in 0..self.n_rows {
-            let orow = &mut out[r * width..(r + 1) * width];
-            for (&c, &v) in self.row_indices(r).iter().zip(self.row_values(r)) {
-                let drow = &dense[c as usize * width..(c as usize + 1) * width];
-                for (o, &d) in orow.iter_mut().zip(drow) {
-                    *o += v * d;
-                }
-            }
-        }
+        dispatch(Spmm {
+            csr: self,
+            dense,
+            width,
+            out,
+        });
     }
 
     /// Dense SpMM into a fresh zeroed buffer.
@@ -266,9 +272,125 @@ impl Csr {
     }
 }
 
+/// `out += csr * dense` for [`Csr::spmm_accumulate`], whose asserts
+/// fix the slice lengths.
+struct Spmm<'a> {
+    csr: &'a Csr,
+    dense: &'a [f32],
+    width: usize,
+    out: &'a mut [f32],
+}
+
+impl Spmm<'_> {
+    /// Adds row `r`'s entries into output lanes `j0..j0 + L`, held in
+    /// registers across the row. Returns `L`.
+    #[inline(always)]
+    fn panel<const L: usize>(&mut self, r: usize, j0: usize) -> usize {
+        let w = self.width;
+        let o = r * w + j0;
+        let mut acc = [0.0f32; L];
+        acc.copy_from_slice(&self.out[o..o + L]);
+        for (&c, &v) in self.csr.row_indices(r).iter().zip(self.csr.row_values(r)) {
+            let d = c as usize * w + j0;
+            for (a, &dv) in acc.iter_mut().zip(&self.dense[d..d + L]) {
+                *a += v * dv;
+            }
+        }
+        self.out[o..o + L].copy_from_slice(&acc);
+        L
+    }
+}
+
+impl SimdKernel for Spmm<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(mut self) {
+        let w = self.width;
+        for r in 0..self.csr.n_rows {
+            let mut j0 = 0;
+            while j0 < w {
+                j0 += match w - j0 {
+                    16.. => self.panel::<16>(r, j0),
+                    8.. => self.panel::<8>(r, j0),
+                    4.. => self.panel::<4>(r, j0),
+                    _ => self.panel::<1>(r, j0),
+                };
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nm_tensor::simd::SimdLevel;
+    use nm_tensor::{Tensor, TensorRng};
+
+    /// The entry-by-entry loop [`Spmm`] replaced: the bit-exactness
+    /// oracle.
+    fn reference_spmm_accumulate(m: &Csr, dense: &[f32], width: usize, out: &mut [f32]) {
+        for r in 0..m.n_rows {
+            let orow = &mut out[r * width..(r + 1) * width];
+            for (&c, &v) in m.row_indices(r).iter().zip(m.row_values(r)) {
+                let drow = &dense[c as usize * width..(c as usize + 1) * width];
+                for (o, &d) in orow.iter_mut().zip(drow) {
+                    *o += v * d;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn spmm_kernel_matches_reference_bit_for_bit_on_every_panel_tail() {
+        let mut rng = TensorRng::seed_from(5);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (rows, cols) in [(1, 1), (5, 3), (67, 41)] {
+            let mut edges = Vec::new();
+            for r in 0..rows as u32 {
+                // row 0 stays empty when there are several rows
+                let deg = if rows > 1 && r == 0 {
+                    0
+                } else {
+                    1 + rng.index(6)
+                };
+                for _ in 0..deg {
+                    let v = rng.uniform(-1.0, 1.0);
+                    edges.push((r, rng.index(cols) as u32, v));
+                }
+            }
+            let m = Csr::from_edges(rows, cols, &edges);
+            for width in [1, 3, 4, 7, 8, 9, 15, 16, 17, 33] {
+                let mut dense = Tensor::randn(cols, width, 1.0, &mut rng);
+                // ReLU-style zeros of either sign in the dense operand
+                for (i, x) in dense.data_mut().iter_mut().enumerate() {
+                    match i % 5 {
+                        0 => *x = 0.0,
+                        2 => *x = -0.0,
+                        _ => {}
+                    }
+                }
+                // a nonzero starting `out`, signed zeros included
+                let mut init = Tensor::randn(rows, width, 1.0, &mut rng);
+                init.data_mut()[0] = -0.0;
+                let mut want = init.data().to_vec();
+                reference_spmm_accumulate(&m, dense.data(), width, &mut want);
+                let mut got = init.data().to_vec();
+                m.spmm_accumulate(dense.data(), width, &mut got);
+                assert_eq!(bits(&got), bits(&want), "{rows}x{cols} w {width}");
+                for level in SimdLevel::ALL.into_iter().filter(|l| l.supported()) {
+                    let mut got = init.data().to_vec();
+                    level.run(Spmm {
+                        csr: &m,
+                        dense: dense.data(),
+                        width,
+                        out: &mut got,
+                    });
+                    assert_eq!(bits(&got), bits(&want), "{level:?} {rows}x{cols} w {width}");
+                }
+            }
+        }
+    }
 
     fn sample() -> Csr {
         // 3x4:

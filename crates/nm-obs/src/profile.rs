@@ -293,8 +293,8 @@ pub fn parse_trace_timings(
 // ---------------------------------------------------------------------
 
 /// Micro-probes this machine's two roofline ceilings: single-thread
-/// f32 multiply-add throughput and large-copy memory bandwidth. Each
-/// probe runs for ~10ms on the sanctioned clock. The result is
+/// vector f32 multiply-add throughput and large-copy memory bandwidth.
+/// Each probe runs for ~10ms on the sanctioned clock. The result is
 /// machine-dependent by nature, so it is emitted into the *trace*
 /// (`obs.profile.peaks`), never into the deterministic dump.
 pub fn probe_peaks() -> Peaks {
@@ -304,20 +304,58 @@ pub fn probe_peaks() -> Peaks {
     }
 }
 
+/// The multiply-add ceiling the workspace's kernels can reach: `f32`
+/// multiplies and adds issued as separate instructions (the kernels
+/// never use FMA, to keep their bits), on the widest vectors the CPU
+/// has. Runs [`mul_add_rate`] compiled for AVX-512F or AVX2 when the
+/// CPU supports it, as the kernels' run-time dispatch does.
 fn probe_gflops() -> f64 {
-    // Eight independent multiply-add chains; the decay multiplier keeps
-    // the accumulators at a finite nonzero steady state (~1e-3).
-    let mut acc = [1.0f32; 8];
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the running CPU supports AVX-512F, checked just above.
+            return unsafe { mul_add_rate_avx512() };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the running CPU supports AVX2, checked just above.
+            return unsafe { mul_add_rate_avx2() };
+        }
+    }
+    mul_add_rate::<4>()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn mul_add_rate_avx512() -> f64 {
+    mul_add_rate::<16>()
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn mul_add_rate_avx2() -> f64 {
+    mul_add_rate::<8>()
+}
+
+/// Times [`CHAINS`] independent multiply-add chains, each `L` lanes
+/// wide (one vector register), for ~10ms. With enough chains in flight
+/// every cycle issues as many vector multiplies and adds as the FP
+/// ports allow. The decay multiplier keeps the accumulators at a finite
+/// nonzero steady state (~1e-3).
+#[inline(always)]
+fn mul_add_rate<const L: usize>() -> f64 {
+    // One flat array, so each register-wide run of `L` lanes is one
+    // chain.
+    let mut acc = [[1.0f32; L]; CHAINS];
     let m = 0.999_999f32;
     let mut flops = 0u64;
     let sw = Stopwatch::start();
     loop {
-        for _ in 0..50_000 {
-            for a in acc.iter_mut() {
+        for _ in 0..10_000 {
+            for a in acc.as_flattened_mut() {
                 *a = *a * m + 1e-9;
             }
         }
-        flops += 50_000 * 8 * 2;
+        flops += 10_000 * (CHAINS * L) as u64 * 2;
         if sw.elapsed_us() >= 10_000 {
             break;
         }
@@ -326,6 +364,10 @@ fn probe_gflops() -> f64 {
     // flops per nanosecond is exactly GFLOP/s
     flops as f64 / (sw.elapsed_us().max(1) as f64 * 1_000.0)
 }
+
+/// Independent chains in [`mul_add_rate`]: enough to cover the
+/// multiply-then-add latency of each chain on two FP ports.
+const CHAINS: usize = 12;
 
 fn probe_gbps() -> f64 {
     const LEN: usize = 1 << 22; // 4 MiB: larger than L2 on typical hosts

@@ -24,15 +24,16 @@
 //!
 //! Scoring here is **bit-for-bit identical** to the offline eval path:
 //! the dot head replicates `dot_scores`' sequential dot, and the MLP
-//! head replicates `Tensor::matmul`'s k-ascending zero-skipping
-//! accumulation (the per-element order of [`nm_tensor::vecmat_blocked`])
-//! with the bias added after the full accumulation, exactly like the
-//! tape's broadcast add. The MLP kernel sums the user's share of the
+//! head replicates `Tensor::matmul`'s k-ascending accumulation (the
+//! per-element order of [`nm_tensor::vecmat_blocked`]), with no zero
+//! skip and the bias added after the full accumulation, exactly like
+//! the tape's broadcast add. The MLP kernel sums the user's share of the
 //! first layer once per call and resumes every item from it, which
 //! keeps that order (see `MlpHead::score_items`).
 
 use nm_nn::checkpoint::{read_tensor, read_u32, write_tensor, write_u32, CheckpointError};
 use nm_nn::Activation;
+use nm_tensor::simd::{dispatch, SimdKernel};
 use nm_tensor::{sigmoid_scalar, vecmat_nt_blocked, Tensor};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -115,55 +116,19 @@ fn apply_act(act: Activation, xs: &mut [f32]) {
 /// together, one per lane.
 const ITEM_BLOCK: usize = 8;
 
-/// `acc[j] += x[kk] * w[kk * n + j]` for `kk` ascending, skipping
-/// `x[kk] == 0.0`: per output element, exactly the additions (and their
-/// order) of [`nm_tensor::vecmat_blocked`], which blocks only the `j`
-/// axis. Blocking here also only splits `j`: into register-sized lane
-/// chunks, each accumulated over all of `x` before the next.
-#[inline(always)]
-fn accumulate(acc: &mut [f32], x: &[f32], w: &[f32]) {
-    let n = acc.len();
-    let mut j0 = 0;
-    while j0 < n {
-        j0 += match n - j0 {
-            16.. => lane_chunk::<16>(acc, x, w, n, j0),
-            8.. => lane_chunk::<8>(acc, x, w, n, j0),
-            4.. => lane_chunk::<4>(acc, x, w, n, j0),
-            _ => lane_chunk::<1>(acc, x, w, n, j0),
-        };
-    }
-}
-
-/// [`accumulate`] over the `L` outputs `j0..j0 + L`, held in a local
-/// array so they stay in registers across the `kk` loop. Returns `L`.
-#[inline(always)]
-fn lane_chunk<const L: usize>(acc: &mut [f32], x: &[f32], w: &[f32], n: usize, j0: usize) -> usize {
-    let out = &mut acc[j0..j0 + L];
-    let mut a = [0.0f32; L];
-    a.copy_from_slice(out);
-    for (kk, &xv) in x.iter().enumerate() {
-        if xv == 0.0 {
-            continue;
-        }
-        let row = &w[kk * n + j0..kk * n + j0 + L];
-        for (av, &wv) in a.iter_mut().zip(row) {
-            *av += xv * wv;
-        }
-    }
-    out.copy_from_slice(&a);
-    L
-}
-
 /// Items whose layer-0 sums [`accumulate_group`] interleaves.
 const GROUP: usize = 4;
 
-/// [`accumulate`] for `B` inputs at once, each starting from `init`:
-/// row `b` of `out` (`B` rows of `n = init.len()`) is `init` plus
-/// `x[b][kk] * w[kk * n + j]` for `kk` ascending. Only for inputs
-/// without zeros, so there is nothing to skip: per element, the same
-/// additions in the same order as `B` separate [`accumulate`] calls.
-/// Interleaving the rows overlaps their add chains, which one row at a
-/// time would wait on.
+const _: () = assert!(ITEM_BLOCK.is_multiple_of(GROUP), "a block is whole groups");
+
+/// `B` rows of `x · w`, each starting from `init`: row `b` of `out`
+/// (`B` rows of `n = init.len()`) is `init[j]` plus
+/// `x[b][kk] * w[kk * n + j]` for `kk` ascending. Per output element,
+/// exactly the additions (and their order) of
+/// [`nm_tensor::vecmat_blocked`]: blocking only splits `j`, into
+/// register-sized lane chunks, each accumulated over all of `x` before
+/// the next. With `B > 1`, interleaving the rows overlaps their add
+/// chains, which one row at a time would wait on.
 #[inline(always)]
 fn accumulate_group<const B: usize>(out: &mut [f32], init: &[f32], x: [&[f32]; B], w: &[f32]) {
     let n = init.len();
@@ -212,13 +177,6 @@ fn group_chunk<const L: usize, const B: usize>(
     L
 }
 
-/// Whether `x` has an element `== 0.0` (either sign), without an
-/// early exit so the check vectorizes.
-#[inline(always)]
-fn has_zero(x: &[f32]) -> bool {
-    x.iter().fold(false, |z, &v| z | (v == 0.0))
-}
-
 /// Adds a layer's bias after its full accumulation, like the tape's
 /// broadcast add.
 #[inline(always)]
@@ -253,58 +211,27 @@ impl MlpHead {
     /// sees the same additions in the same order:
     /// * layer 0 accumulates k-ascending, so its first `u.len()` terms
     ///   are the same for every item. They are summed once into a
-    ///   prefix, and each item resumes from it over its own `v` terms,
-    ///   zero skip included, before the bias and activation. [`GROUP`]
-    ///   items without zeros run interleaved ([`accumulate_group`]);
+    ///   prefix, and each item resumes from it over its own `v` terms
+    ///   before the bias and activation, [`GROUP`] items interleaved
+    ///   ([`accumulate_group`]);
     /// * hidden layers run on two reused scratch rows;
     /// * the last layer (one logit) scores [`ITEM_BLOCK`] items at once,
     ///   one item per lane, each lane still summing k-ascending.
     ///
-    /// On x86-64 CPUs with AVX-512F or AVX2 the same code runs compiled
-    /// for 16- or 8-wide vectors. That only widens the lanes: every lane
-    /// still does one IEEE multiply and one add per term (Rust never
-    /// fuses them into an FMA), so the scores are the same bits on every
-    /// path.
+    /// The kernel runs through [`nm_tensor::simd::dispatch`], compiled
+    /// for the widest vectors the CPU has; the scores are the same bits
+    /// on every level.
     fn score_items<'a>(&self, u: &[f32], items: impl Iterator<Item = &'a [f32]>, out: &mut [f32]) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: the running CPU supports AVX-512F, checked just above.
-            unsafe { self.score_items_avx512(u, items, out) };
-            return;
-        }
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the running CPU supports AVX2, checked just above.
-            unsafe { self.score_items_avx2(u, items, out) };
-            return;
-        }
-        self.score_items_with(u, items, out);
+        dispatch(ScoreItems {
+            head: self,
+            u,
+            items,
+            out,
+        });
     }
 
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx512f")]
-    fn score_items_avx512<'a>(
-        &self,
-        u: &[f32],
-        items: impl Iterator<Item = &'a [f32]>,
-        out: &mut [f32],
-    ) {
-        self.score_items_with(u, items, out);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    fn score_items_avx2<'a>(
-        &self,
-        u: &[f32],
-        items: impl Iterator<Item = &'a [f32]>,
-        out: &mut [f32],
-    ) {
-        self.score_items_with(u, items, out);
-    }
-
-    /// The body of [`MlpHead::score_items`], inlined into each entry so
-    /// it is compiled for that entry's target features.
+    /// The body of [`MlpHead::score_items`], inlined into each dispatch
+    /// entry so it is compiled for that entry's target features.
     #[inline(always)]
     fn score_items_with<'a>(
         &self,
@@ -316,19 +243,19 @@ impl MlpHead {
         let (w0, b0) = &self.layers[0];
         let (du, n0) = (u.len(), w0.cols());
         let (w_u, w_v) = w0.data().split_at(du * n0);
+        let width = self.layers.iter().map(|(w, _)| w.cols()).max().unwrap_or(1);
+        let zeros = vec![0.0f32; width];
         let mut prefix = vec![0.0f32; n0];
-        accumulate(&mut prefix, u, w_u);
+        accumulate_group(&mut prefix, &zeros[..n0], [u], w_u);
         if last == 0 {
             // A single layer is its own last layer: (u ‖ v) → logit.
             for (v, o) in items.zip(out.iter_mut()) {
                 let y = std::slice::from_mut(o);
-                y.copy_from_slice(&prefix);
-                accumulate(y, v, w_v);
+                accumulate_group(y, &prefix, [v], w_v);
                 add_bias(y, b0.as_ref());
             }
             return;
         }
-        let width = self.layers.iter().map(|(w, _)| w.cols()).max().unwrap_or(1);
         let mut cur = vec![0.0f32; width];
         let mut nxt = vec![0.0f32; width];
         let (w_l, b_l) = &self.layers[last];
@@ -344,20 +271,10 @@ impl MlpHead {
             }
             let nb = outs.len();
             for g0 in (0..nb).step_by(GROUP) {
-                let g1 = (g0 + GROUP).min(nb);
-                let hg = &mut h0[g0 * n0..g1 * n0];
-                match <[&[f32]; GROUP]>::try_from(&vs[g0..g1]) {
-                    Ok(g) if !g.iter().any(|v| has_zero(v)) => {
-                        accumulate_group(hg, &prefix, g, w_v);
-                    }
-                    _ => {
-                        for (i, v) in vs[g0..g1].iter().enumerate() {
-                            let h = &mut hg[i * n0..(i + 1) * n0];
-                            h.copy_from_slice(&prefix);
-                            accumulate(h, v, w_v);
-                        }
-                    }
-                }
+                // A short last group repeats its last item into rows
+                // past `nb`, which nothing reads as a score.
+                let g: [&[f32]; GROUP] = std::array::from_fn(|b| vs[(g0 + b).min(nb - 1)]);
+                accumulate_group(&mut h0[g0 * n0..(g0 + GROUP) * n0], &prefix, g, w_v);
             }
             for b in 0..nb {
                 add_bias(&mut h0[b * n0..(b + 1) * n0], b0.as_ref());
@@ -377,8 +294,7 @@ impl MlpHead {
                     for (w, bias) in &self.layers[1..last] {
                         let n = w.cols();
                         let y = &mut nxt[..n];
-                        y.fill(0.0);
-                        accumulate(y, x, w.data());
+                        accumulate_group(y, &zeros[..n], [x], w.data());
                         add_bias(y, bias.as_ref());
                         apply_act(self.hidden_act, y);
                         std::mem::swap(&mut cur, &mut nxt);
@@ -394,10 +310,7 @@ impl MlpHead {
             let mut acc = [0.0f32; ITEM_BLOCK];
             for (xs, &wv) in block.chunks_exact(ITEM_BLOCK).zip(w_l.data()) {
                 for (a, &x) in acc.iter_mut().zip(xs) {
-                    // The zero skip as a lane select, not a branch on
-                    // (often zero) ReLU outputs: adding -0.0 leaves
-                    // every f32 unchanged, -0.0 and NaN included.
-                    *a += if x == 0.0 { -0.0 } else { x * wv };
+                    *a += x * wv;
                 }
             }
             if let Some(b) = b_l {
@@ -435,6 +348,23 @@ impl MlpHead {
             )));
         }
         Ok(())
+    }
+}
+
+/// [`MlpHead::score_items`] as a [`SimdKernel`].
+struct ScoreItems<'s, I> {
+    head: &'s MlpHead,
+    u: &'s [f32],
+    items: I,
+    out: &'s mut [f32],
+}
+
+impl<'a, I: Iterator<Item = &'a [f32]>> SimdKernel for ScoreItems<'_, I> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run(self) {
+        self.head.score_items_with(self.u, self.items, self.out);
     }
 }
 
@@ -655,6 +585,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nm_tensor::simd::SimdLevel;
     use nm_tensor::TensorRng;
 
     fn dot_snapshot() -> Snapshot {
@@ -805,7 +736,7 @@ mod tests {
                 let (du, di) = (5, 3);
                 let head = random_head(du + di, widths, act, &mut rng);
                 // users mixed with rows whose entries are partly zero
-                // (ReLU-like inputs) to exercise the zero skip
+                // (ReLU-like inputs), of either sign
                 let mut users = Tensor::randn(4, du, 1.0, &mut rng);
                 let mut items = Tensor::randn(13, di, 1.0, &mut rng);
                 for (j, x) in users.data_mut().iter_mut().enumerate() {
@@ -813,9 +744,8 @@ mod tests {
                         *x = if j % 2 == 0 { 0.0 } else { -0.0 };
                     }
                 }
-                // Zeros in items 5 and 12 only: of the layer-0 groups
-                // 0..4, 4..8, 8..12 and 12, the first and third run the
-                // interleaved no-skip path, the others the zero skip.
+                // Zeros in items 5 and 12, which also make up the short
+                // last group of the second block.
                 items.data_mut()[5 * di + 1] = 0.0;
                 items.data_mut()[12 * di] = -0.0;
                 let pairs: Vec<(u32, u32)> = (0..4u32)
@@ -851,20 +781,15 @@ mod tests {
                     let rows = || items.data().chunks_exact(di);
                     let mut want = vec![0.0f32; 13];
                     head.score_items(ur, rows(), &mut want);
-                    let mut got = vec![0.0f32; 13];
-                    head.score_items_with(ur, rows(), &mut got);
-                    assert_eq!(bits(&got), bits(&want), "portable, case {case} {act:?}");
-                    #[cfg(target_arch = "x86_64")]
-                    if std::arch::is_x86_feature_detected!("avx2") {
-                        // SAFETY: the running CPU supports AVX2.
-                        unsafe { head.score_items_avx2(ur, rows(), &mut got) };
-                        assert_eq!(bits(&got), bits(&want), "avx2, case {case} {act:?}");
-                    }
-                    #[cfg(target_arch = "x86_64")]
-                    if std::arch::is_x86_feature_detected!("avx512f") {
-                        // SAFETY: the running CPU supports AVX-512F.
-                        unsafe { head.score_items_avx512(ur, rows(), &mut got) };
-                        assert_eq!(bits(&got), bits(&want), "avx512, case {case} {act:?}");
+                    for level in SimdLevel::ALL.into_iter().filter(|l| l.supported()) {
+                        let mut got = vec![0.0f32; 13];
+                        level.run(ScoreItems {
+                            head: &head,
+                            u: ur,
+                            items: rows(),
+                            out: &mut got,
+                        });
+                        assert_eq!(bits(&got), bits(&want), "{level:?}, case {case} {act:?}");
                     }
                 }
             }
@@ -885,9 +810,11 @@ mod tests {
         head.score_items(&u, std::iter::repeat_n(&v[..], GROUP), &mut group);
         assert!(group.iter().all(|s| s.is_nan()), "{group:?}");
 
-        // NaN weights on zero inputs are skipped, as offline: one on a
-        // zero `v` entry in layer 0, one on a hidden unit that ReLU
-        // always zeroes in the last layer.
+        // NaN weights behind zero inputs poison the score too, as
+        // offline: `0 * NaN` is NaN and no kernel skips zero inputs. One
+        // sits on a zero `v` entry in layer 0 (ReLU's `max` then clamps
+        // that unit to zero), one on a hidden unit that ReLU always
+        // zeroes in the last layer.
         let head = MlpHead {
             layers: vec![
                 (
@@ -900,13 +827,15 @@ mod tests {
         };
         let (u, v) = ([0.5], [0.0]);
         head.score_items(&u, std::iter::once(&v[..]), &mut out);
-        assert_eq!(out[0], 0.5);
-        assert_eq!(out[0].to_bits(), reference_forward(&head, &u, &v).to_bits());
-        // A full group whose items hold that zero must not take the
-        // interleaved path, which has no zero skip.
+        assert!(
+            out[0].is_nan(),
+            "NaN weight behind a zero input: {}",
+            out[0]
+        );
+        assert!(reference_forward(&head, &u, &v).is_nan());
         let mut group = [0.0f32; GROUP];
         head.score_items(&u, std::iter::repeat_n(&v[..], GROUP), &mut group);
-        assert_eq!(group, [0.5; GROUP]);
+        assert!(group.iter().all(|s| s.is_nan()), "{group:?}");
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //!   [`TensorError`] instead.
 //! * Hot loops (`matmul`, elementwise kernels) are written over raw
 //!   slices so the optimizer can vectorize; no `Rc`/indirection inside.
+//! * Float kernels that matter (`matmul` and its transposed variants,
+//!   and through [`simd`] the graph SpMM and the serving head) are
+//!   compiled per SIMD level and dispatched at run time, with results
+//!   bit-identical on every level.
 
 pub mod alloc;
 
@@ -24,6 +28,7 @@ mod matmul;
 mod ops;
 mod reduce;
 pub mod rng;
+pub mod simd;
 mod tensor;
 
 pub use activations::{sigmoid_scalar, softplus_scalar};
