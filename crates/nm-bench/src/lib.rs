@@ -265,9 +265,9 @@ impl ResultRow {
                 "\"ndcg_a\":{},\"hr_a\":{},\"ndcg_b\":{},\"hr_b\":{},",
                 "\"secs_per_step\":{},\"params\":{}}}"
             ),
-            nm_serve::json::escape(&self.experiment),
-            nm_serve::json::escape(&self.scenario),
-            nm_serve::json::escape(&self.model),
+            nm_obs::json::escape(&self.experiment),
+            nm_obs::json::escape(&self.scenario),
+            nm_obs::json::escape(&self.model),
             json_num(self.overlap),
             json_num(self.density),
             json_num(self.ndcg_a),

@@ -44,7 +44,7 @@ impl BenchResult {
     pub fn to_json_line(&self) -> String {
         format!(
             "{{\"bench\":{},\"iters\":{},\"mean_s\":{:.9},\"min_s\":{:.9},\"p50_s\":{:.9},\"p99_s\":{:.9}}}",
-            nm_obs::metrics::escape_json(&self.name),
+            nm_obs::json::escape(&self.name),
             self.iters,
             self.mean_s,
             self.min_s,

@@ -17,11 +17,10 @@
 //!    `HashMap`/`HashSet` in snapshot/checkpoint serialization paths,
 //!    `// SAFETY:` before every `unsafe` block. A checked-in count
 //!    allowlist lets legacy debt burn down while new violations fail.
-//! 3. [`sched`] — a mini-loom model checker: deterministic virtual
-//!    threads, exhaustive DFS over interleavings with optional
-//!    preemption bounding, deadlock (lost-wakeup) detection. The
-//!    models in [`sched::models`] mirror the `nm-obs` metrics registry
-//!    and the `nm-serve` leader-follower coalescer.
+//! 3. [`sched`] — a mini-loom model checker over the *real* `nm-sync`
+//!    concurrent cores: deterministic virtual threads under a virtual
+//!    `Backend`, DFS over interleavings with optional preemption
+//!    bounding, deadlock (lost-wakeup) detection.
 //!
 //! Every pass reports [`Diagnostic`]s instead of panicking; the
 //! negative-test suite (`tests/negative_suite.rs`) seeds one defect per
@@ -30,6 +29,8 @@
 pub mod lint;
 pub mod sched;
 pub mod shape;
+
+use nm_obs::json::escape;
 
 /// Which analysis pass produced a diagnostic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,24 +83,6 @@ impl Diagnostic {
     }
 }
 
-/// Minimal JSON string escaping for report emission (the workspace has
-/// no serde; mirrors nm-serve's hand-rolled encoder).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders diagnostics as a JSON array (machine-readable report).
 pub fn diagnostics_to_json(diags: &[Diagnostic]) -> String {
     let mut out = String::from("[");
@@ -108,11 +91,11 @@ pub fn diagnostics_to_json(diags: &[Diagnostic]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"pass\":\"{}\",\"rule\":\"{}\",\"location\":\"{}\",\"message\":\"{}\"}}",
+            "{{\"pass\":\"{}\",\"rule\":{},\"location\":{},\"message\":{}}}",
             d.pass.name(),
-            json_escape(&d.rule),
-            json_escape(&d.location),
-            json_escape(&d.message)
+            escape(&d.rule),
+            escape(&d.location),
+            escape(&d.message)
         ));
     }
     out.push(']');

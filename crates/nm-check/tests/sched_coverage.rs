@@ -1,78 +1,33 @@
-//! Positive half of the concurrency checking: every checked algorithm
+//! Positive half of the concurrency checking: every checked core
 //! passes every explored schedule, and the schedule space is large
 //! enough (>= 1000 distinct schedules per invariant, the ci.sh
 //! acceptance bar) that "no violation" is a meaningful statement.
 //!
-//! Two kinds of subject here. The lock-free / crate-local algorithms
-//! (counter, histogram, trace sink, stream ring) are checked through
-//! their [`nm_check::sched::models`] mirrors. The monitor-based cores
-//! (coalescer, connection gate, exemplar ring, breaker, supervisor,
-//! sampler ring) are checked directly: the *production* `nm-sync`
-//! generic code instantiated with `VirtualBackend`, every blocking /
-//! atomic op a scheduling point.
+//! The subjects are the monitor-based cores (coalescer, connection
+//! gate, exemplar ring, breaker, supervisor, sampler ring), checked
+//! directly: the *production* `nm-sync` generic code instantiated with
+//! `VirtualBackend`, every blocking / atomic op a scheduling point.
 
 use nm_check::sched::virt::{explore_virtual, VirtSpec};
-use nm_check::sched::{cores, explore, ExploreOpts, SchedModel};
+use nm_check::sched::{cores, ExploreOpts};
 use nm_sync::{BreakerBug, CoalesceBug, DeltaBug, GateBug, RespawnBug, RingBug};
 
-fn assert_clean<M: SchedModel>(name: &str, model: M) -> u64 {
-    check("model", name, explore(&model, &ExploreOpts::default()))
-}
-
-fn assert_clean_virtual(name: &str, bound: Option<u32>, mk: impl Fn() -> VirtSpec) -> u64 {
+fn assert_clean_virtual(name: &str, bound: Option<u32>, mk: impl Fn() -> VirtSpec) {
     let opts = ExploreOpts {
         preemption_bound: bound,
         ..Default::default()
     };
-    check("core", name, explore_virtual(mk, &opts))
-}
-
-fn check(kind: &str, name: &str, r: nm_check::sched::Explored) -> u64 {
+    let r = explore_virtual(mk, &opts);
     assert!(
         r.violation.is_none(),
-        "{kind} {name}: unexpected violation: {:?}",
+        "core {name}: unexpected violation: {:?}",
         r.violation
     );
-    assert!(!r.truncated, "{kind} {name}: schedule space truncated");
+    assert!(!r.truncated, "core {name}: schedule space truncated");
     assert!(
         r.schedules >= 1000,
-        "{kind} {name}: only {} schedules explored, need >= 1000 — grow the config",
+        "core {name}: only {} schedules explored, need >= 1000 — grow the config",
         r.schedules
-    );
-    r.schedules
-}
-
-// ---- state-machine mirrors (lock-free algorithms) ---------------------
-
-#[test]
-fn counter_atomic_all_schedules_clean() {
-    assert_clean(
-        "counter",
-        nm_check::sched::models::CounterModel::atomic(2, 7),
-    );
-}
-
-#[test]
-fn histogram_record_order_all_schedules_clean() {
-    assert_clean(
-        "histogram",
-        nm_check::sched::models::HistogramModel::correct(4, 3),
-    );
-}
-
-#[test]
-fn seq_sink_lock_order_all_schedules_clean() {
-    assert_clean(
-        "seq-sink",
-        nm_check::sched::models::SeqSinkModel::correct(3, 3),
-    );
-}
-
-#[test]
-fn stream_ring_all_schedules_clean() {
-    assert_clean(
-        "stream-ring",
-        nm_check::sched::models::StreamRingModel::correct(6, 3, 2, 2),
     );
 }
 

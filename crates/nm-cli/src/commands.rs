@@ -763,14 +763,14 @@ pub fn query(args: &Args) -> Result<(), String> {
     if op == "trace" {
         // Print the embedded trace document raw, so the output can be
         // piped straight into a file and fed to `obs flame`/`validate`.
-        let v = nm_serve::Json::parse(resp.trim())
+        let v = nm_obs::json::Json::parse(resp.trim())
             .map_err(|e| format!("malformed server response: {e}"))?;
-        if v.get("ok").and_then(nm_serve::Json::as_bool) != Some(true) {
+        if v.get("ok").and_then(nm_obs::json::Json::as_bool) != Some(true) {
             return Err(format!("server error: {}", resp.trim_end()));
         }
         let text = v
             .get("trace")
-            .and_then(nm_serve::Json::as_str)
+            .and_then(nm_obs::json::Json::as_str)
             .ok_or("server response missing 'trace' field")?;
         print!("{text}");
         return Ok(());

@@ -349,6 +349,12 @@ mod tests {
     use super::*;
 
     #[test]
+    fn escape_handles_specials() {
+        assert_eq!(escape("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(escape("\u{1}"), "\"\\u0001\"");
+    }
+
+    #[test]
     fn parse_roundtrip_object() {
         let src = r#"{"op":"topk","user":5,"domain":"a","k":10,"flag":true,"x":null}"#;
         let v = Json::parse(src).unwrap();

@@ -7,7 +7,8 @@
 //! `serve.requests`, `serve.cache.hits`, `train.grad_norm`. Histograms
 //! carry their unit as the last path segment (`serve.latency_us`).
 
-use crate::sync::lock;
+use crate::json::escape;
+use nm_sync::backend::lock_recover as lock;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -374,14 +375,14 @@ impl RegistrySnapshot {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "{}:{v}", escape_json(k));
+            let _ = write!(s, "{}:{v}", escape(k));
         }
         s.push_str("},\"gauges\":{");
         for (i, (k, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "{}:{}", escape_json(k), json_f64(*v));
+            let _ = write!(s, "{}:{}", escape(k), json_f64(*v));
         }
         s.push_str("},\"histograms\":{");
         for (i, (k, h)) in self.histograms.iter().enumerate() {
@@ -391,7 +392,7 @@ impl RegistrySnapshot {
             let _ = write!(
                 s,
                 "{}:{{\"count\":{},\"mean\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"max\":{},\"overflow_count\":{}}}",
-                escape_json(k),
+                escape(k),
                 h.count,
                 h.mean,
                 h.p50,
@@ -413,27 +414,6 @@ pub(crate) fn json_f64(x: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-/// Escapes a string as a JSON string literal (with quotes).
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -550,11 +530,5 @@ mod tests {
         assert!(json.contains("\"a.one\":1"));
         assert!(json.contains("\"overflow_count\":0"));
         assert!(!json.contains('\n'));
-    }
-
-    #[test]
-    fn escape_handles_specials() {
-        assert_eq!(escape_json("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(escape_json("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -25,8 +25,7 @@
 //! mismatches, and non-monotonic tick ordinals are errors.
 
 use crate::clock::Stopwatch;
-use crate::json::Json;
-use crate::metrics::escape_json;
+use crate::json::{escape, Json};
 use crate::parse::parse_trace;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -128,7 +127,7 @@ pub fn render_dump(ops: &[OpCounters], alloc: &AllocSummary) -> String {
              \"fwd_bytes\":{},\"bwd_bytes\":{},\"alloc_b\":{},\"freed_b\":{}}}}}",
             i + 1,
             i,
-            escape_json(&op.kind),
+            escape(&op.kind),
             op.fwd_calls,
             op.bwd_calls,
             op.fwd_flops,

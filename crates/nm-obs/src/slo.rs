@@ -19,8 +19,8 @@
 use crate::json::Json;
 use crate::metrics::Registry;
 use crate::series::{FlightRecorder, RecorderConfig, TickDelta, WindowStats};
-use crate::sync::lock;
 use crate::{clock::Stopwatch, trace};
+use nm_sync::backend::lock_recover as lock;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 

@@ -34,8 +34,9 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use crate::metrics::{escape_json, json_f64};
-use crate::sync::{lock, read, write};
+use crate::json::escape;
+use crate::metrics::json_f64;
+use nm_sync::backend::{lock_recover as lock, read, write};
 
 /// Destination for trace lines. Implementations must be safe to call
 /// from multiple threads (emission is additionally serialized by the
@@ -293,7 +294,7 @@ impl Drop for SpanGuard {
         a.tracer.emit(|seq| {
             format!(
                 "{{\"t\":\"span\",\"name\":{},\"start_us\":{},\"dur_us\":{},\"self_us\":{},\"depth\":{},\"tid\":{},\"seq\":{}}}",
-                escape_json(a.name),
+                escape(a.name),
                 a.start_us,
                 dur_us,
                 self_us,
@@ -351,7 +352,7 @@ impl EventBuilder {
         if !self.fields.is_empty() {
             self.fields.push(',');
         }
-        let _ = write!(self.fields, "{}:", escape_json(k));
+        let _ = write!(self.fields, "{}:", escape(k));
         &mut self.fields
     }
 
@@ -372,7 +373,7 @@ impl EventBuilder {
     }
 
     pub fn s(&mut self, k: &str, v: &str) -> &mut Self {
-        let s = escape_json(v);
+        let s = escape(v);
         let _ = write!(self.key(k), "{s}");
         self
     }
@@ -397,7 +398,7 @@ pub fn event(name: &str, build: impl FnOnce(&mut EventBuilder)) {
     tracer.emit(|seq| {
         format!(
             "{{\"t\":\"event\",\"name\":{},\"at_us\":{},\"tid\":{},\"seq\":{},\"f\":{{{}}}}}",
-            escape_json(name),
+            escape(name),
             at_us,
             tid,
             seq,
@@ -502,6 +503,11 @@ mod tests {
 
     #[test]
     fn seq_is_strictly_increasing_in_file_order() {
+        // Four threads emit at once: `Tracer::emit` must allocate each
+        // seq under the same lock as the sink write, or a later seq
+        // could land in the file first.
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 64;
         let sink = Arc::new(MemorySink::new());
         scoped(sink.clone(), || {
             for i in 0..16 {
@@ -509,8 +515,25 @@ mod tests {
                     e.u("i", i);
                 });
             }
+            std::thread::scope(|s| {
+                for t in 0..THREADS {
+                    s.spawn(move || {
+                        for i in 0..PER_THREAD {
+                            event("seq.worker", |e| {
+                                e.u("t", t).u("i", i);
+                            });
+                        }
+                    });
+                }
+            });
             let _s = span("one");
         });
+        let workers = sink
+            .lines()
+            .iter()
+            .filter(|l| l.contains("\"seq.worker\""))
+            .count() as u64;
+        assert_eq!(workers, THREADS * PER_THREAD);
         let seqs: Vec<u64> = sink
             .lines()
             .iter()

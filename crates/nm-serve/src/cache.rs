@@ -4,7 +4,7 @@
 //! every cached list even before the physical `clear()` runs — a stale
 //! epoch can never be looked up again.
 
-use crate::sync::lock;
+use nm_sync::backend::lock_recover as lock;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::sync::Mutex;

@@ -43,11 +43,11 @@ use crate::chaos::{seeded_backoff, Chaos, ChaosConfig, Deadline};
 use crate::reqtrace::{DegradedKind, ExemplarRing, ReqTiming};
 use crate::snapshot::Snapshot;
 use crate::stats::Stats;
-use crate::sync::{lock, read, wait, write};
 use nm_eval::harness::{rank_key, rank_order, Scorer};
 use nm_nn::checkpoint::CheckpointError;
 use nm_obs::clock::Stopwatch;
 use nm_obs::{Counter, SloDecision, Telemetry, TelemetryConfig};
+use nm_sync::backend::{lock_recover as lock, read, wait, write};
 use nm_sync::{BatchQueue, BreakerBank, Slot, StdBackend};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};

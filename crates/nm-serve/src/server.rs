@@ -15,7 +15,7 @@ use crate::engine::Engine;
 use crate::protocol::{self, Request};
 use crate::reqtrace::DegradedKind;
 use crate::snapshot::Snapshot;
-use crate::sync::lock;
+use nm_sync::backend::lock_recover as lock;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -560,9 +560,9 @@ fn dispatch(
             protocol::encode_ok(vec![
                 (
                     "exemplars".into(),
-                    crate::json::Json::Num(exemplars.len() as f64),
+                    nm_obs::json::Json::Num(exemplars.len() as f64),
                 ),
-                ("trace".into(), crate::json::Json::Str(text)),
+                ("trace".into(), nm_obs::json::Json::Str(text)),
             ])
         }
         Request::Reload { path } => {
@@ -572,7 +572,7 @@ fn dispatch(
             {
                 Ok(()) => protocol::encode_ok(vec![(
                     "epoch".into(),
-                    crate::json::Json::Num(shared.engine.epoch() as f64),
+                    nm_obs::json::Json::Num(shared.engine.epoch() as f64),
                 )]),
                 Err(e) => {
                     stats.errors.inc();
@@ -593,8 +593,8 @@ fn dispatch(
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use crate::json::Json;
     use crate::snapshot::{DomainSnapshot, HeadKind};
+    use nm_obs::json::Json;
     use nm_tensor::{Tensor, TensorRng};
 
     fn test_server() -> Server {

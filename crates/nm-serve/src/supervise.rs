@@ -175,7 +175,9 @@ fn monitor_loop(
                     policy.backoff_cap,
                     attempt,
                     policy.seed,
-                    fnv(&specs[i].name),
+                    // The jitter salt: same-named children across runs
+                    // back off identically, distinct children de-sync.
+                    nm_nn::checkpoint::fnv1a64(specs[i].name.as_bytes()),
                 ));
                 (specs[i].spawn)().ok()
             },
@@ -188,17 +190,6 @@ fn monitor_loop(
         );
         thread::sleep(poll);
     }
-}
-
-/// FNV-1a64 of a child name: the jitter salt, so same-named children
-/// across runs back off identically while distinct children de-sync.
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -8,9 +8,10 @@
 //!   within a bounded client read timeout (no hangs, no silent drops);
 //! * counter conservation holds on the final stats snapshot.
 
+use nm_obs::json::Json;
 use nm_serve::{
-    BreakerConfig, ChaosConfig, DomainSnapshot, Engine, EngineConfig, HeadKind, Json,
-    ResilienceConfig, Server, ServerConfig, Snapshot,
+    BreakerConfig, ChaosConfig, DomainSnapshot, Engine, EngineConfig, HeadKind, ResilienceConfig,
+    Server, ServerConfig, Snapshot,
 };
 use nm_tensor::{Tensor, TensorRng};
 use std::io::{BufRead, BufReader, Write};
