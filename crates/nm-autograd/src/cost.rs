@@ -14,8 +14,6 @@
 //! against [`has_rule`], so an op added to the tape without a cost rule
 //! fails CI instead of silently profiling as zero FLOPs.
 
-use std::sync::OnceLock;
-
 /// Shapes feeding one op's cost rule: output plus up to two dense
 /// operands (`(0, 0)` when absent), and the sparse operand's `nnz` for
 /// `spmm`.
@@ -50,15 +48,6 @@ pub struct OpCost {
 
 /// `f32` element size: the only dtype in the workspace.
 const S: u64 = 4;
-
-/// CI self-test knob for the differential profile gate: when set, the
-/// matmul rule reports doubled forward FLOPs, simulating a cost-model
-/// drift that `obs profile --compare` must catch as a strict
-/// counter mismatch. Never set outside `scripts/ci.sh`.
-fn flops_drift() -> bool {
-    static DRIFT: OnceLock<bool> = OnceLock::new();
-    *DRIFT.get_or_init(|| std::env::var_os("NMCDR_PROF_FLOPS_DRIFT").is_some())
-}
 
 /// The cost rule for `kind`, or `None` for an unregistered kind.
 ///
@@ -105,7 +94,7 @@ pub fn cost_for(kind: &str, d: &OpDims) -> Option<OpCost> {
             let k = d.a.1 as u64;
             let fwd = 2 * m * k * n;
             OpCost {
-                fwd_flops: if flops_drift() { 2 * fwd } else { fwd },
+                fwd_flops: fwd,
                 fwd_bytes: (m * k + k * n + m * n) * S,
                 bwd_flops: 2 * fwd,
                 bwd_bytes: 2 * (m * k + k * n + m * n) * S,

@@ -20,7 +20,6 @@ use crate::cost::{self, OpDims};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -112,52 +111,13 @@ pub fn disabled_probe() -> bool {
     op_start().is_none()
 }
 
-/// CI self-test knob for the differential profile gate: a value of the
-/// form `kind` or `kind:factor` makes every instrumented run of that
-/// op spin until it has taken `factor`× (default 2×) its measured
-/// time. The spin sits inside the measured window, so the recorded
-/// self-time genuinely grows — the injected per-op slowdown
-/// `obs profile --compare` must catch. Never set outside CI.
-fn slow_op() -> Option<(&'static str, u64)> {
-    static SLOW: OnceLock<Option<(String, u64)>> = OnceLock::new();
-    SLOW.get_or_init(|| {
-        let v = std::env::var("NMCDR_PROF_SLOW_OP").ok()?;
-        let (kind, factor) = match v.split_once(':') {
-            Some((k, f)) => (k.to_string(), f.parse().unwrap_or(2)),
-            None => (v, 2),
-        };
-        Some((kind, factor.max(2)))
-    })
-    .as_ref()
-    .map(|(k, f)| (k.as_str(), *f))
-}
-
-fn elapsed_with_injection(kind: &'static str, t0_ns: u64) -> u64 {
-    let elapsed = nm_obs::clock::now_ns().saturating_sub(t0_ns);
-    let Some((slow_kind, factor)) = slow_op() else {
-        return elapsed;
-    };
-    if slow_kind != kind {
-        return elapsed;
-    }
-    // Busy-spin until the op has taken `factor`× its natural time (at
-    // least 1us so zero-length ops still visibly slow down).
-    let target = t0_ns + (elapsed * factor).max(1_000);
-    let mut now = nm_obs::clock::now_ns();
-    while now < target {
-        std::hint::spin_loop();
-        now = nm_obs::clock::now_ns();
-    }
-    now.saturating_sub(t0_ns)
-}
-
 fn record(kind: &'static str, f: impl FnOnce(&mut OpAgg)) {
     TABLE.with(|t| f(t.borrow_mut().entry(kind).or_default()));
 }
 
 /// Finishes a forward-pass measurement for `kind`.
 pub(crate) fn op_finish_fwd(t: OpTimer, kind: &'static str, dims: &OpDims) {
-    let ns = elapsed_with_injection(kind, t.t0_ns);
+    let ns = nm_obs::clock::now_ns().saturating_sub(t.t0_ns);
     let (alloc1, freed1) = nm_tensor::alloc::counters();
     let c = cost::cost_for(kind, dims).unwrap_or_default();
     record(kind, |agg| {
@@ -172,7 +132,7 @@ pub(crate) fn op_finish_fwd(t: OpTimer, kind: &'static str, dims: &OpDims) {
 
 /// Finishes a backward-pass measurement for `kind`.
 pub(crate) fn op_finish_bwd(t: OpTimer, kind: &'static str, dims: &OpDims) {
-    let ns = elapsed_with_injection(kind, t.t0_ns);
+    let ns = nm_obs::clock::now_ns().saturating_sub(t.t0_ns);
     let (alloc1, freed1) = nm_tensor::alloc::counters();
     let c = cost::cost_for(kind, dims).unwrap_or_default();
     record(kind, |agg| {

@@ -21,22 +21,28 @@
 //! `--record` writes the suite to a named baseline JSON
 //! (`results/BENCH_baseline.json` by default — machine-dependent, so
 //! never committed); `--compare` re-measures and fails on a
-//! noise-aware regression: each metric has a relative tolerance *and*
-//! an absolute floor, and the suite is measured `runs` times with the
+//! noise-aware regression: each metric is judged by an
+//! [`nm_obs::gate::Gate`] with its own relative tolerance *and*
+//! absolute floor, and the suite is measured [`RUNS`] times with the
 //! per-metric median taken, so one descheduled run cannot fail CI.
 //! Every measurement is appended to `results/BENCH_trajectory.jsonl`
 //! for trend inspection.
 //!
-//! The gate is self-testing: `scripts/ci.sh` records a fresh baseline,
-//! re-runs the compare with `NMCDR_BENCH_SLOW_MERGE=2` (an injected 2×
-//! slowdown of the serve merge stage), and requires that compare to
-//! fail — a gate that cannot catch a planted regression is treated as
-//! broken.
+//! The gate is self-testing, with regressions planted from outside the
+//! program. `scripts/ci.sh` compares a fresh run against a copy of a
+//! fresh baseline with every metric moved 4× in its good direction and
+//! requires that compare to fail. The unit test
+//! `planted_merge_regression_is_caught_by_the_gate` asks the serve suite
+//! for the whole 16 384-item catalog instead of the top 500, so the
+//! real merge fully sorts each candidate pool instead of selecting
+//! from it, and requires `serve.merge_self_us` to regress.
 
+use crate::timing::quantile;
 use crate::ExpProfile;
 use nm_data::Scenario;
 use nm_models::train_joint;
 use nm_obs::clock::Stopwatch;
+use nm_obs::gate::{Gate, Verdict};
 use nm_obs::json::Json;
 use nm_obs::trace::MemorySink;
 use nm_serve::{DomainSnapshot, Engine, EngineConfig, HeadKind, Snapshot};
@@ -51,74 +57,39 @@ use std::sync::Arc;
 pub struct MetricDef {
     pub name: &'static str,
     pub unit: &'static str,
-    /// `true` for latencies (a rise is a regression), `false` for
-    /// throughputs (a drop is a regression).
-    pub lower_is_better: bool,
-    /// Relative tolerance: the bad-direction change (as a fraction of
-    /// the baseline) that fails the gate.
-    pub rel_tol: f64,
-    /// Absolute floor in the metric's unit: smaller bad-direction
-    /// deltas never fail, whatever the percentage (kills flakes on
-    /// near-zero baselines).
-    pub abs_floor: f64,
+    pub gate: Gate,
+}
+
+/// A [`MetricDef`] from one table row: name, unit, whether lower is
+/// better, relative tolerance, absolute floor (in `unit`).
+const fn metric(
+    name: &'static str,
+    unit: &'static str,
+    lower_is_better: bool,
+    rel_tol: f64,
+    abs_floor: f64,
+) -> MetricDef {
+    MetricDef {
+        name,
+        unit,
+        gate: Gate {
+            lower_is_better,
+            rel_tol,
+            abs_floor,
+        },
+    }
 }
 
 /// The gated suite. Order is the report order.
 pub const METRICS: &[MetricDef] = &[
-    MetricDef {
-        name: "serve.p50_us",
-        unit: "us",
-        lower_is_better: true,
-        rel_tol: 0.50,
-        abs_floor: 400.0,
-    },
-    MetricDef {
-        name: "serve.p99_us",
-        unit: "us",
-        lower_is_better: true,
-        rel_tol: 0.75,
-        abs_floor: 1_000.0,
-    },
-    MetricDef {
-        name: "serve.merge_self_us",
-        unit: "us",
-        lower_is_better: true,
-        rel_tol: 0.45,
-        abs_floor: 200.0,
-    },
-    MetricDef {
-        name: "train.steps_per_sec",
-        unit: "steps/s",
-        lower_is_better: false,
-        rel_tol: 0.35,
-        abs_floor: 2.0,
-    },
-    MetricDef {
-        name: "train.forward_self_us",
-        unit: "us",
-        lower_is_better: true,
-        rel_tol: 0.50,
-        abs_floor: 300.0,
-    },
-    MetricDef {
-        name: "obs.overhead_ns",
-        unit: "ns",
-        lower_is_better: true,
-        rel_tol: 1.00,
-        abs_floor: 50.0,
-    },
-    MetricDef {
-        name: "profile.overhead_ns",
-        unit: "ns",
-        lower_is_better: true,
-        rel_tol: 1.00,
-        abs_floor: 50.0,
-    },
+    metric("serve.p50_us", "us", true, 0.50, 400.0),
+    metric("serve.p99_us", "us", true, 0.75, 1_000.0),
+    metric("serve.merge_self_us", "us", true, 0.45, 200.0),
+    metric("train.steps_per_sec", "steps/s", false, 0.35, 2.0),
+    metric("train.forward_self_us", "us", true, 0.50, 300.0),
+    metric("obs.overhead_ns", "ns", true, 1.00, 50.0),
+    metric("profile.overhead_ns", "ns", true, 1.00, 50.0),
 ];
-
-fn metric_def(name: &str) -> Option<&'static MetricDef> {
-    METRICS.iter().find(|m| m.name == name)
-}
 
 /// A measured suite: metric name → value.
 pub type Measurements = BTreeMap<String, f64>;
@@ -136,20 +107,9 @@ fn serve_snapshot(seed: u64) -> Snapshot {
     }
 }
 
-/// Nearest-rank quantile of a sorted sample.
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// Serve-side metrics: a fixed top-K workload against an uncached
-/// engine. The engine config deliberately uses `..Default::default()`
-/// so the `NMCDR_BENCH_SLOW_MERGE` injection reaches the measured
-/// merge stage.
-fn serve_metrics(out: &mut Measurements) -> Result<(), String> {
+/// Serve-side metrics: a fixed top-`k` workload against an uncached
+/// engine over a 16 384-item catalog per domain.
+fn serve_metrics(out: &mut Measurements, k: usize) -> Result<(), String> {
     let engine = Engine::new(
         serve_snapshot(17),
         EngineConfig {
@@ -168,7 +128,7 @@ fn serve_metrics(out: &mut Measurements) -> Result<(), String> {
         let user = (i % 64) as u32;
         let domain = i % 2;
         let sw = Stopwatch::start();
-        let (_, t) = engine.topk_traced(domain, user, 500);
+        let (_, t) = engine.topk_traced(domain, user, k);
         if i >= WARMUP {
             totals.push(sw.elapsed_us() as f64);
             merges.push(t.merge_us as f64);
@@ -254,18 +214,20 @@ fn obs_metrics(out: &mut Measurements) {
 
 fn measure_once() -> Result<Measurements, String> {
     let mut out = Measurements::new();
-    serve_metrics(&mut out)?;
+    serve_metrics(&mut out, 500)?;
     train_metrics(&mut out)?;
     obs_metrics(&mut out);
     Ok(out)
 }
 
-/// Measures the whole suite `runs` times and takes the per-metric
+/// Whole-suite repeats per measurement.
+pub const RUNS: usize = 3;
+
+/// Measures the whole suite [`RUNS`] times and takes the per-metric
 /// median — whole-suite repeats, so a load spike hitting one repeat
 /// skews every metric of that repeat and the median drops all of it.
-pub fn measure(runs: usize) -> Result<Measurements, String> {
-    let runs = runs.max(1);
-    let repeats: Vec<Measurements> = (0..runs)
+pub fn measure() -> Result<Measurements, String> {
+    let repeats: Vec<Measurements> = (0..RUNS)
         .map(|_| measure_once())
         .collect::<Result<_, _>>()?;
     let mut merged = Measurements::new();
@@ -357,81 +319,48 @@ pub fn append_trajectory(m: &Measurements, label: &str) {
     }
 }
 
-/// One metric's compare outcome.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Verdict {
-    pub name: &'static str,
-    pub unit: &'static str,
-    pub baseline: f64,
-    pub current: f64,
-    /// Signed bad-direction change as a fraction of the baseline
-    /// (positive = worse).
-    pub worse_frac: f64,
-    pub regressed: bool,
+/// Judges a measurement against a baseline, each metric under its own
+/// gate. Metrics missing from the baseline are skipped (they were
+/// added after the baseline was recorded) — re-record to gate them.
+pub fn compare(
+    current: &Measurements,
+    baseline: &Measurements,
+) -> Vec<(&'static MetricDef, Verdict)> {
+    METRICS
+        .iter()
+        .filter_map(|def| {
+            let (cur, base) = (current.get(def.name)?, baseline.get(def.name)?);
+            Some((def, def.gate.judge(*base, *cur)))
+        })
+        .collect()
 }
 
-/// Compares a measurement against a baseline under the per-metric
-/// thresholds. Metrics missing from the baseline are skipped (they
-/// were added after the baseline was recorded) — re-record to gate
-/// them.
-pub fn compare(current: &Measurements, baseline: &Measurements) -> Vec<Verdict> {
-    let mut out = Vec::new();
-    for def in METRICS {
-        let (Some(&cur), Some(&base)) = (current.get(def.name), baseline.get(def.name)) else {
-            continue;
-        };
-        let bad_delta = if def.lower_is_better {
-            cur - base
-        } else {
-            base - cur
-        };
-        let worse_frac = if base.abs() > f64::EPSILON {
-            bad_delta / base.abs()
-        } else {
-            0.0
-        };
-        let regressed = worse_frac > def.rel_tol && bad_delta > def.abs_floor;
-        out.push(Verdict {
-            name: def.name,
-            unit: def.unit,
-            baseline: base,
-            current: cur,
-            worse_frac,
-            regressed,
-        });
-    }
-    out
-}
-
-pub fn any_regression(verdicts: &[Verdict]) -> bool {
-    verdicts.iter().any(|v| v.regressed)
+pub fn any_regression(verdicts: &[(&MetricDef, Verdict)]) -> bool {
+    verdicts.iter().any(|(_, v)| v.regressed)
 }
 
 /// Renders the compare outcome as an aligned report table.
-pub fn render_report(verdicts: &[Verdict]) -> String {
+pub fn render_report(verdicts: &[(&MetricDef, Verdict)]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
         "{:<22}  {:>12}  {:>12}  {:>8}  verdict",
         "metric", "baseline", "current", "change"
     );
-    for v in verdicts {
-        let def = metric_def(v.name);
+    for (def, v) in verdicts {
         let verdict = if v.regressed {
             "REGRESSED".to_string()
-        } else if let Some(d) = def {
-            format!("ok (tol {:.0}%)", d.rel_tol * 100.0)
         } else {
-            "ok".to_string()
+            format!("ok (tol {:.0}%)", def.gate.rel_tol * 100.0)
         };
         let _ = writeln!(
             out,
             "{:<22}  {:>10.1}{}  {:>10.1}{}  {:>+7.1}%  {}",
-            v.name,
+            def.name,
             v.baseline,
-            v.unit,
+            def.unit,
             v.current,
-            v.unit,
+            def.unit,
             v.worse_frac * 100.0,
             verdict
         );
@@ -459,52 +388,24 @@ mod tests {
     }
 
     #[test]
-    fn compare_fails_only_past_both_thresholds() {
-        let base = m(&[("serve.merge_self_us", 1_000.0)]);
-        // +30% < 45% tolerance: fine
-        let v = compare(&m(&[("serve.merge_self_us", 1_300.0)]), &base);
-        assert!(!any_regression(&v));
-        // +80% and +800us > 200us floor: regression
-        let v = compare(&m(&[("serve.merge_self_us", 1_800.0)]), &base);
-        assert!(any_regression(&v));
-        assert!(v[0].regressed);
-        assert!(render_report(&v).contains("REGRESSED"));
-    }
-
-    #[test]
-    fn absolute_floor_suppresses_big_relative_noise_on_tiny_baselines() {
-        // +100% but only +50us on a 50us baseline: below the 200us
-        // floor, so not a regression
-        let base = m(&[("serve.merge_self_us", 50.0)]);
-        let v = compare(&m(&[("serve.merge_self_us", 100.0)]), &base);
-        assert!(!any_regression(&v));
-    }
-
-    #[test]
-    fn higher_is_better_metrics_regress_downward() {
-        let base = m(&[("train.steps_per_sec", 100.0)]);
-        // faster is never a regression
-        let v = compare(&m(&[("train.steps_per_sec", 180.0)]), &base);
-        assert!(!any_regression(&v));
-        // -50% and -50 steps/s: regression
-        let v = compare(&m(&[("train.steps_per_sec", 50.0)]), &base);
-        assert!(any_regression(&v));
-    }
-
-    #[test]
-    fn improvements_never_regress_latency_metrics() {
-        let base = m(&[("serve.p50_us", 2_000.0), ("serve.p99_us", 9_000.0)]);
-        let cur = m(&[("serve.p50_us", 400.0), ("serve.p99_us", 1_000.0)]);
-        assert!(!any_regression(&compare(&cur, &base)));
-    }
-
-    #[test]
-    fn metrics_missing_from_the_baseline_are_skipped() {
-        let base = m(&[("serve.p50_us", 100.0)]);
-        let cur = m(&[("serve.p50_us", 100.0), ("serve.p99_us", 1e9)]);
+    fn compare_judges_each_metric_under_its_own_gate() {
+        let base = m(&[
+            ("serve.merge_self_us", 1_000.0),
+            ("train.steps_per_sec", 100.0),
+        ]);
+        // merge: +80% and +800us past 45% and 200us; steps/s: +80% is
+        // an improvement; p99: no baseline, so skipped
+        let cur = m(&[
+            ("serve.merge_self_us", 1_800.0),
+            ("train.steps_per_sec", 180.0),
+            ("serve.p99_us", 1e9),
+        ]);
         let v = compare(&cur, &base);
-        assert_eq!(v.len(), 1);
-        assert!(!any_regression(&v));
+        assert_eq!(v.len(), 2);
+        assert!(any_regression(&v));
+        let report = render_report(&v);
+        assert!(report.contains("REGRESSED"), "{report}");
+        assert!(report.contains("ok (tol 35%)"), "{report}");
     }
 
     #[test]
@@ -571,39 +472,22 @@ mod tests {
     }
 
     #[test]
-    fn injected_merge_slowdown_is_caught_by_the_gate() {
-        // In-process version of the ci.sh self-test, on the serve suite
-        // only (train metrics are too slow for a unit test): measure,
-        // then measure again with the slowdown injected via the config
-        // knob, and the merge metric must regress.
-        let run = |slowdown: u32| -> Measurements {
-            let engine = Engine::new(
-                serve_snapshot(17),
-                EngineConfig {
-                    n_workers: 2,
-                    shard_items: 256,
-                    cache_capacity: 0,
-                    merge_slowdown: slowdown,
-                    ..Default::default()
-                },
-            )
-            .expect("valid bench snapshot");
-            let mut merges = Vec::new();
-            for i in 0..24 {
-                let (_, t) = engine.topk_traced(i % 2, (i % 64) as u32, 500);
-                merges.push(t.merge_us as f64);
-            }
-            m(&[(
-                "serve.merge_self_us",
-                merges.iter().sum::<f64>() / merges.len() as f64,
-            )])
-        };
-        let base = run(1);
-        let slow = run(8);
+    fn planted_merge_regression_is_caught_by_the_gate() {
+        // Serve suite only (train metrics are too slow for a unit
+        // test). Asking for the whole catalog instead of the top 500
+        // makes the real merge fully sort every candidate pool instead
+        // of selecting from it: a planted merge regression with no
+        // knob in the engine.
+        let (mut base, mut slow) = (Measurements::new(), Measurements::new());
+        serve_metrics(&mut base, 500).expect("valid bench snapshot");
+        serve_metrics(&mut slow, 16_384).expect("valid bench snapshot");
         let v = compare(&slow, &base);
+        let report = render_report(&v);
+        println!("{report}");
+        let merge = v.iter().find(|(d, _)| d.name == "serve.merge_self_us");
         assert!(
-            any_regression(&v),
-            "8x merge slowdown must trip the gate: {v:?}"
+            merge.is_some_and(|(_, v)| v.regressed),
+            "a full sort of every pool must trip the merge gate:\n{report}"
         );
     }
 }

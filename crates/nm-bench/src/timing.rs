@@ -55,7 +55,7 @@ impl BenchResult {
 }
 
 /// Exact sample quantile (nearest-rank on the sorted samples).
-fn quantile(sorted: &[f64], q: f64) -> f64 {
+pub(crate) fn quantile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }

@@ -96,9 +96,8 @@ COMMANDS:
                       self time, achieved GFLOP/s and GB/s, arithmetic
                       intensity, memory- vs compute-bound class
                       [--compare <old-dump> [--compare-trace <old>]]
-                      [--rel-tol 0.5] [--abs-floor-us 200]
                       differential gate: deterministic counters diffed
-                      strictly, timings under noise-aware thresholds;
+                      strictly, timings past both +50% and +200us fail;
                       exits non-zero on regression (a CI gate)
              tail     --series <file> [--window 20]
                       per-tick rates + latency quantiles from a
@@ -109,8 +108,8 @@ COMMANDS:
                       transitions; --require-* gate the exit code
   bench      perf-regression gate over a fixed serve+train suite
              (--record | --compare) [--baseline results/BENCH_baseline.json]
-             [--runs 3]   median-of-runs, per-metric relative tolerance
-             with an absolute noise floor; --compare exits non-zero on
+             median of 3 runs, per-metric relative tolerance with an
+             absolute noise floor; --compare exits non-zero on
              regression (wired into scripts/ci.sh)
   check      static analysis: symbolic shape/graph verification over all
              models, workspace invariant lints, schedule-exploring
@@ -783,7 +782,6 @@ pub fn query(args: &Args) -> Result<(), String> {
 /// see [`nm_bench::regress`] for the metric suite and thresholds.
 pub fn bench(args: &Args) -> Result<(), String> {
     use nm_bench::regress;
-    let runs: usize = args.parse_or("runs", 3)?;
     let baseline_path = PathBuf::from(
         args.get("baseline")
             .unwrap_or("results/BENCH_baseline.json"),
@@ -793,8 +791,11 @@ pub fn bench(args: &Args) -> Result<(), String> {
     if record == compare {
         return Err("pass exactly one of --record or --compare".into());
     }
-    println!("measuring perf suite ({runs} run(s), median per metric)…");
-    let current = regress::measure(runs)?;
+    println!(
+        "measuring perf suite ({} runs, median per metric)…",
+        regress::RUNS
+    );
+    let current = regress::measure()?;
     for def in regress::METRICS {
         if let Some(v) = current.get(def.name) {
             println!("  {:<22} {v:>12.1}{}", def.name, def.unit);

@@ -112,8 +112,7 @@ fn series(action: &str, args: &Args) -> Result<(), String> {
 
 /// `nmcdr obs profile --profile dump.jsonl [--trace run.jsonl]`
 /// `nmcdr obs profile --profile new.jsonl --compare old.jsonl
-///                    [--compare-trace old-run.jsonl]
-///                    [--rel-tol 0.5] [--abs-floor-us 200]`
+///                    [--compare-trace old-run.jsonl]`
 ///
 /// Report mode joins the deterministic per-op dump (`--profile-out`)
 /// with the measured `obs.profile.time` self-times and the
@@ -123,9 +122,9 @@ fn series(action: &str, args: &Args) -> Result<(), String> {
 ///
 /// Compare mode is the differential gate: deterministic counters must
 /// match *exactly* (any drift in the op stream, the cost model, or
-/// allocation traffic fails), while per-op self-times are compared
-/// under `nmcdr bench`-style noise-aware thresholds — both the
-/// relative tolerance AND the absolute floor must be exceeded to fail.
+/// allocation traffic fails), while per-op self-times are judged by
+/// `nm_obs::gate`, the rule `nmcdr bench` uses too: a change must
+/// exceed both +50% AND +200us to fail.
 /// Exits non-zero on regression, so CI can gate on it.
 fn kernel_profile(args: &Args) -> Result<(), String> {
     let read = |path: &str| -> Result<String, String> {
@@ -155,14 +154,8 @@ fn kernel_profile(args: &Args) -> Result<(), String> {
     if let Some(old_path) = args.get("compare") {
         let old = load_dump(old_path)?;
         let (old_timings, _) = load_timings("compare-trace")?;
-        let defaults = nm_obs::profile::CompareConfig::default();
-        let cfg = nm_obs::profile::CompareConfig {
-            rel_tol: args.parse_or("rel-tol", defaults.rel_tol)?,
-            abs_floor_ns: args.parse_or::<u64>("abs-floor-us", defaults.abs_floor_ns / 1000)?
-                * 1000,
-        };
-        let diff = nm_obs::profile::compare(&dump, &timings, &old, &old_timings, &cfg);
-        print_piped(&nm_obs::profile::render_verdict(&diff, &cfg));
+        let diff = nm_obs::profile::compare(&dump, &timings, &old, &old_timings);
+        print_piped(&nm_obs::profile::render_verdict(&diff));
         if diff.failed() {
             return Err(format!("profile regression against '{old_path}'"));
         }

@@ -191,9 +191,9 @@ mod tests {
         let n = 100;
         let mut x = Tensor::zeros(n, 3);
         let mut mask = vec![false; n];
-        for i in 0..n {
+        for (i, m) in mask.iter_mut().enumerate() {
             let head = i < 40;
-            mask[i] = head;
+            *m = head;
             let offset = if head { 5.0 } else { -5.0 };
             for j in 0..3 {
                 x.set(i, j, offset + rng.normal());

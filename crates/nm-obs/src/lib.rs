@@ -27,6 +27,9 @@
 //! * [`flame`] — collapsed-stack folding, self-contained SVG
 //!   flamegraph rendering, and critical-path extraction behind
 //!   `nmcdr obs flame`.
+//! * [`gate`] — the noise-aware regression rule (relative tolerance
+//!   *and* absolute floor) that `nmcdr bench --compare` and
+//!   `nmcdr obs profile --compare` both judge with.
 //! * [`profile`] — kernel-profile artifacts: the deterministic per-op
 //!   dump written by `train --profile-out`, the roofline report and
 //!   differential gate behind `nmcdr obs profile`, and the
@@ -45,6 +48,7 @@
 
 pub mod clock;
 pub mod flame;
+pub mod gate;
 pub mod json;
 pub mod metrics;
 pub mod parse;

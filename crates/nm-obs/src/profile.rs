@@ -18,13 +18,15 @@
 //!   machine peaks (`obs.profile.peaks`) are emitted into the normal
 //!   trace, which is already understood to be machine-dependent.
 //!   [`compare`] diffs them under noise-aware thresholds (relative
-//!   tolerance plus an absolute floor, same semantics as `nmcdr bench`).
+//!   tolerance plus an absolute floor: the [`crate::gate`] rule that
+//!   `nmcdr bench` judges with too).
 //!
 //! Both files use the trace line schema (version 1) and are parsed by
 //! the same strict parser as every other trace — unknown fields, type
 //! mismatches, and non-monotonic tick ordinals are errors.
 
 use crate::clock::Stopwatch;
+use crate::gate::{Gate, Verdict};
 use crate::json::{escape, Json};
 use crate::parse::parse_trace;
 use std::collections::BTreeMap;
@@ -526,37 +528,14 @@ pub fn render_report(
 // Differential gate
 // ---------------------------------------------------------------------
 
-/// Thresholds for the timing half of [`compare`]. Counters are always
-/// diffed strictly — they are deterministic, so *any* drift fails.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompareConfig {
-    /// Bad-direction change (fraction of the old time) that fails.
-    pub rel_tol: f64,
-    /// Bad-direction deltas below this never fail, whatever the
-    /// percentage — kills flakes on near-zero op times.
-    pub abs_floor_ns: u64,
-}
-
-impl Default for CompareConfig {
-    fn default() -> Self {
-        Self {
-            rel_tol: 0.50,
-            abs_floor_ns: 200_000,
-        }
-    }
-}
-
-/// One op kind's timing verdict.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimingVerdict {
-    pub kind: String,
-    pub old_ns: u64,
-    pub new_ns: u64,
-    /// Signed bad-direction change as a fraction of the old time
-    /// (positive = slower).
-    pub worse_frac: f64,
-    pub regressed: bool,
-}
+/// The timing half of [`compare`]: per-op self time, in ns. Counters
+/// are always diffed strictly — they are deterministic, so *any* drift
+/// fails.
+pub const TIMING_GATE: Gate = Gate {
+    lower_is_better: true,
+    rel_tol: 0.50,
+    abs_floor: 200_000.0,
+};
 
 /// The full compare outcome: strict counter drifts plus noise-aware
 /// timing verdicts.
@@ -565,14 +544,15 @@ pub struct ProfileDiff {
     /// Deterministic-counter mismatches (op stream, cost model, alloc
     /// traffic). Any entry fails the gate.
     pub counter_drifts: Vec<String>,
-    pub timings: Vec<TimingVerdict>,
+    /// Per op kind: total self time (ns) judged under [`TIMING_GATE`].
+    pub timings: Vec<(String, Verdict)>,
     /// Op kinds with measured time on only one side (skipped).
     pub timing_skipped: usize,
 }
 
 impl ProfileDiff {
     pub fn failed(&self) -> bool {
-        !self.counter_drifts.is_empty() || self.timings.iter().any(|t| t.regressed)
+        !self.counter_drifts.is_empty() || self.timings.iter().any(|(_, v)| v.regressed)
     }
 }
 
@@ -585,13 +565,12 @@ fn diff_counter(drifts: &mut Vec<String>, kind: &str, field: &str, old: u64, new
 /// Diffs two profile runs. Counters (call counts, modeled FLOPs/bytes,
 /// allocation traffic) must match *exactly* — they are deterministic,
 /// so any drift means the op stream or the cost model changed. Timings
-/// are compared per op kind under `cfg`'s noise-aware thresholds.
+/// are compared per op kind under [`TIMING_GATE`].
 pub fn compare(
     new: &ProfileDump,
     new_t: &BTreeMap<String, OpTiming>,
     old: &ProfileDump,
     old_t: &BTreeMap<String, OpTiming>,
-    cfg: &CompareConfig,
 ) -> ProfileDiff {
     let mut d = ProfileDiff::default();
     let by_kind = |dump: &ProfileDump| -> BTreeMap<String, OpCounters> {
@@ -686,24 +665,8 @@ pub fn compare(
             d.timing_skipped += 1;
             continue;
         };
-        let (old_ns, new_ns) = (ot.total_ns(), nt.total_ns());
-        let worse = new_ns as f64 - old_ns as f64;
-        let worse_frac = if old_ns > 0 {
-            worse / old_ns as f64
-        } else if new_ns > 0 {
-            f64::INFINITY
-        } else {
-            0.0
-        };
-        let regressed =
-            worse_frac > cfg.rel_tol && new_ns.saturating_sub(old_ns) > cfg.abs_floor_ns;
-        d.timings.push(TimingVerdict {
-            kind: kind.clone(),
-            old_ns,
-            new_ns,
-            worse_frac,
-            regressed,
-        });
+        let v = TIMING_GATE.judge(ot.total_ns() as f64, nt.total_ns() as f64);
+        d.timings.push((kind.clone(), v));
     }
     d.timing_skipped += old_t.keys().filter(|k| !new_t.contains_key(*k)).count();
     d
@@ -711,7 +674,7 @@ pub fn compare(
 
 /// Renders the compare outcome deterministically — the golden test
 /// pins these bytes for fixed inputs.
-pub fn render_verdict(d: &ProfileDiff, cfg: &CompareConfig) -> String {
+pub fn render_verdict(d: &ProfileDiff) -> String {
     let mut out = String::new();
     if d.counter_drifts.is_empty() {
         let _ = writeln!(out, "counters: OK (deterministic counters match exactly)");
@@ -725,13 +688,13 @@ pub fn render_verdict(d: &ProfileDiff, cfg: &CompareConfig) -> String {
         let _ = writeln!(
             out,
             "timing (fails past +{:.0}% and +{}):",
-            cfg.rel_tol * 100.0,
-            fmt_ns(cfg.abs_floor_ns)
+            TIMING_GATE.rel_tol * 100.0,
+            fmt_ns(TIMING_GATE.abs_floor as u64)
         );
         let name_w = d
             .timings
             .iter()
-            .map(|t| t.kind.len())
+            .map(|(kind, _)| kind.len())
             .chain(std::iter::once("op".len()))
             .max()
             .unwrap_or(2);
@@ -740,20 +703,20 @@ pub fn render_verdict(d: &ProfileDiff, cfg: &CompareConfig) -> String {
             "{:<name_w$}  {:>9}  {:>9}  {:>8}  verdict",
             "op", "old", "new", "change"
         );
-        for t in &d.timings {
-            let change = if t.worse_frac.is_infinite() {
+        for (kind, v) in &d.timings {
+            let change = if v.worse_frac.is_infinite() {
                 "    +inf%".to_string()
             } else {
-                format!("{:>+8.1}%", t.worse_frac * 100.0)
+                format!("{:>+8.1}%", v.worse_frac * 100.0)
             };
             let _ = writeln!(
                 out,
                 "{:<name_w$}  {:>9}  {:>9}  {}  {}",
-                t.kind,
-                fmt_ns(t.old_ns),
-                fmt_ns(t.new_ns),
+                kind,
+                fmt_ns(v.baseline as u64),
+                fmt_ns(v.current as u64),
                 change,
-                if t.regressed { "REGRESSED" } else { "ok" }
+                if v.regressed { "REGRESSED" } else { "ok" }
             );
         }
     }
@@ -966,16 +929,16 @@ mod tests {
         let mut new = old.clone();
         new.ops[0].fwd_flops = 2000; // cost-model drift
         let t = BTreeMap::new();
-        let d = compare(&new, &t, &old, &t, &CompareConfig::default());
+        let d = compare(&new, &t, &old, &t);
         assert!(d.failed());
         assert_eq!(d.counter_drifts, vec!["matmul: fwd_flops 1000 -> 2000"]);
-        let v = render_verdict(&d, &CompareConfig::default());
+        let v = render_verdict(&d);
         assert!(v.contains("FAIL"), "{v}");
 
         // alloc drift also strict
         let mut new2 = old.clone();
         new2.alloc.peak_b += 1;
-        let d2 = compare(&new2, &t, &old, &t, &CompareConfig::default());
+        let d2 = compare(&new2, &t, &old, &t);
         assert!(d2.failed());
         assert!(d2.counter_drifts[0].contains("peak_b"));
 
@@ -984,7 +947,7 @@ mod tests {
             ops: vec![op("matmul", 1000, 480), op("relu", 8, 64)],
             alloc: alloc(),
         };
-        let d3 = compare(&extra, &t, &old, &t, &CompareConfig::default());
+        let d3 = compare(&extra, &t, &old, &t);
         assert!(d3
             .counter_drifts
             .iter()
@@ -992,39 +955,29 @@ mod tests {
     }
 
     #[test]
-    fn compare_timing_needs_both_thresholds() {
+    fn compare_judges_per_op_time_under_the_timing_gate() {
         let dump = ProfileDump {
             ops: vec![op("matmul", 1000, 480)],
             alloc: alloc(),
         };
         let t = |ns: u64| -> BTreeMap<String, OpTiming> {
-            let mut m = BTreeMap::new();
-            m.insert(
-                "matmul".to_string(),
-                OpTiming {
-                    fwd_ns: ns,
-                    ..Default::default()
-                },
-            );
-            m
+            let timing = OpTiming {
+                fwd_ns: ns,
+                ..Default::default()
+            };
+            BTreeMap::from([("matmul".to_string(), timing)])
         };
-        let cfg = CompareConfig::default();
-        // +100% but only +100ns: under the floor, passes
-        let d = compare(&dump, &t(200), &dump, &t(100), &cfg);
-        assert!(!d.failed());
-        // +30% over a big base: under rel_tol, passes
-        let d = compare(&dump, &t(1_300_000), &dump, &t(1_000_000), &cfg);
-        assert!(!d.failed());
-        // +150% and +1.5ms: regression
-        let d = compare(&dump, &t(2_500_000), &dump, &t(1_000_000), &cfg);
+        // +150% and +1.5ms: past both thresholds
+        let d = compare(&dump, &t(2_500_000), &dump, &t(1_000_000));
         assert!(d.failed());
-        assert!(d.timings[0].regressed);
-        let v = render_verdict(&d, &cfg);
+        let v = render_verdict(&d);
+        assert!(v.contains("timing (fails past +50% and +200.00us)"), "{v}");
         assert!(v.contains("REGRESSED"), "{v}");
-        assert!(v.contains("FAIL"), "{v}");
-        // faster is never a regression
-        let d = compare(&dump, &t(100), &dump, &t(1_000_000), &cfg);
+        assert!(v.ends_with("profile compare: FAIL\n"), "{v}");
+        // time on only one side is skipped, not judged
+        let d = compare(&dump, &t(2_500_000), &dump, &BTreeMap::new());
         assert!(!d.failed());
+        assert_eq!(d.timing_skipped, 1);
     }
 
     #[test]

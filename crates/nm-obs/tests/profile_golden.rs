@@ -23,7 +23,7 @@
 //! and review the diff like any other golden update.
 
 use nm_obs::parse_dump;
-use nm_obs::profile::{compare, parse_trace_timings, render_report, render_verdict, CompareConfig};
+use nm_obs::profile::{compare, parse_trace_timings, render_report, render_verdict};
 
 const DUMP: &str = include_str!("fixtures/profile_dump.jsonl");
 const OLD_DUMP: &str = include_str!("fixtures/profile_old_dump.jsonl");
@@ -50,10 +50,9 @@ fn fixture_renders_the_golden_report_byte_for_byte() {
 fn self_compare_renders_the_golden_pass_verdict_byte_for_byte() {
     let dump = parse_dump(DUMP).expect("dump parses");
     let (timings, _) = parse_trace_timings(TRACE).expect("trace parses");
-    let cfg = CompareConfig::default();
-    let diff = compare(&dump, &timings, &dump, &timings, &cfg);
+    let diff = compare(&dump, &timings, &dump, &timings);
     assert!(!diff.failed(), "a run compared against itself must pass");
-    assert_eq!(render_verdict(&diff, &cfg), GOLDEN_PASS);
+    assert_eq!(render_verdict(&diff), GOLDEN_PASS);
 }
 
 #[test]
@@ -61,13 +60,12 @@ fn seeded_counter_drift_renders_the_golden_fail_verdict_byte_for_byte() {
     let dump = parse_dump(DUMP).expect("dump parses");
     let old = parse_dump(OLD_DUMP).expect("seeded-drift dump parses");
     let (timings, _) = parse_trace_timings(TRACE).expect("trace parses");
-    let cfg = CompareConfig::default();
-    let diff = compare(&dump, &timings, &old, &timings, &cfg);
+    let diff = compare(&dump, &timings, &old, &timings);
     assert!(
         diff.failed(),
         "the seeded matmul fwd_flops drift must fail the gate"
     );
-    assert_eq!(render_verdict(&diff, &cfg), GOLDEN_FAIL);
+    assert_eq!(render_verdict(&diff), GOLDEN_FAIL);
 }
 
 #[test]

@@ -43,7 +43,7 @@ use crate::chaos::{seeded_backoff, Chaos, ChaosConfig, Deadline};
 use crate::reqtrace::{DegradedKind, ExemplarRing, ReqTiming};
 use crate::snapshot::Snapshot;
 use crate::stats::Stats;
-use nm_eval::harness::{rank_key, rank_order, Scorer};
+use nm_eval::harness::{rank_key, Scorer};
 use nm_nn::checkpoint::CheckpointError;
 use nm_obs::clock::Stopwatch;
 use nm_obs::{Counter, SloDecision, Telemetry, TelemetryConfig};
@@ -109,12 +109,6 @@ pub struct EngineConfig {
     pub cache_shards: usize,
     /// Slowest-request exemplars retained for `{"op":"trace"}`.
     pub exemplar_capacity: usize,
-    /// Top-K merge work multiplier (≥ 1). Anything above 1 adds
-    /// `merge_slowdown - 1` full sorts of a throwaway pool clone: a
-    /// deliberate perf-bug injection used by `scripts/ci.sh` to prove
-    /// the bench regression gate actually fires; overridable via the
-    /// `NMCDR_BENCH_SLOW_MERGE` env var.
-    pub merge_slowdown: u32,
     /// Retry/breaker/degraded-mode tuning.
     pub resilience: ResilienceConfig,
     /// Deterministic fault injection (None/disabled in production).
@@ -136,11 +130,6 @@ impl Default for EngineConfig {
             cache_capacity: 4096,
             cache_shards: 8,
             exemplar_capacity: 32,
-            merge_slowdown: std::env::var("NMCDR_BENCH_SLOW_MERGE")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1)
-                .max(1),
             resilience: ResilienceConfig::default(),
             chaos: None,
             telemetry: TelemetryConfig::default(),
@@ -160,7 +149,7 @@ type CandidatePools = Vec<Mutex<Vec<(u64, f32)>>>;
 /// answers keyed only by `(user, domain, k)`, surviving reloads.
 const STALE_EPOCH: u64 = u64::MAX;
 
-/// Heap entry ordered by [`rank_order`] (compared through its
+/// Heap entry ordered by [`nm_eval::rank_order`] (compared through its
 /// [`rank_key`]): `Greater` means *worse* ranked, so a max-heap's root
 /// is the worst retained candidate.
 struct HeapPair((u32, f32));
@@ -223,7 +212,7 @@ impl BoundedTopK {
     }
 }
 
-/// The best `k` of a keyed candidate `pool` under [`rank_order`], sorted
+/// The best `k` of a keyed candidate `pool` under [`nm_eval::rank_order`], sorted
 /// best-first: select the `k` survivors by key, then sort only those.
 /// Shard append order varies with scheduling; because `rank_order` is a
 /// total order (item ids break every tie) and the key orders exactly
@@ -1154,22 +1143,10 @@ impl Engine {
 
         let merge_sw = Stopwatch::start();
         let _merge_span = nm_obs::trace::span("serve.merge");
-        let slowdown = self.cfg.merge_slowdown.max(1);
         let lists = batch
             .iter()
             .enumerate()
-            .map(|(r, req)| {
-                let mut pool = lock(&ctx.candidates[r]);
-                // Injected perf bug for the CI gate self-test: a full
-                // sort of a throwaway copy of the unsorted pool.
-                for _ in 1..slowdown {
-                    let mut again: Vec<(u32, f32)> =
-                        pool.iter().map(|&(key, s)| (key as u32, s)).collect();
-                    again.sort_by(rank_order);
-                    std::hint::black_box(&again);
-                }
-                Arc::new(select_top_k(&mut pool, req.k))
-            })
+            .map(|(r, req)| Arc::new(select_top_k(&mut lock(&ctx.candidates[r]), req.k)))
             .collect();
         let timing = BatchTiming {
             fanout_us,
@@ -1197,7 +1174,7 @@ impl Scorer for EngineScorer<'_> {
 mod tests {
     use super::*;
     use crate::snapshot::{DomainSnapshot, HeadKind};
-    use nm_eval::harness::top_k;
+    use nm_eval::harness::{rank_order, top_k};
     use nm_tensor::{Tensor, TensorRng};
 
     #[test]
@@ -1397,30 +1374,6 @@ mod tests {
         assert_eq!(t2.fanout_us, 0);
         assert_eq!(t2.merge_us, 0);
         assert!(!t2.coalesced);
-    }
-
-    #[test]
-    fn merge_slowdown_injection_does_not_change_results() {
-        let mk = |slowdown| {
-            Engine::new(
-                snapshot(100, 7),
-                EngineConfig {
-                    n_workers: 2,
-                    shard_items: 16,
-                    cache_capacity: 0,
-                    merge_slowdown: slowdown,
-                    ..Default::default()
-                },
-            )
-            .expect("valid test snapshot")
-        };
-        let fast = mk(1);
-        let slow = mk(4);
-        for user in [0u32, 5, 9] {
-            let (_, a) = fast.topk(0, user, 10);
-            let (_, b) = slow.topk(0, user, 10);
-            assert_eq!(a, b, "user {user}");
-        }
     }
 
     /// Reference top-k straight off a snapshot value (no engine).

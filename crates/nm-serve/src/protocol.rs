@@ -388,7 +388,7 @@ mod tests {
             let list = &items[..n];
             let tree = Json::Obj(vec![
                 ("ok".into(), Json::Bool(true)),
-                ("user".into(), Json::Num(4_000_000_000u32 as f64)),
+                ("user".into(), Json::Num(4_000_000_000.0)),
                 ("domain".into(), Json::Str(domain_name(domain).into())),
                 ("cached".into(), Json::Bool(cached)),
                 (

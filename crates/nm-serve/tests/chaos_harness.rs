@@ -21,7 +21,7 @@ use std::time::Duration;
 
 const REQUESTS: usize = 60;
 const RELOAD_AT: [usize; 3] = [20, 35, 50];
-const CHAOS_SEED: u64 = 0xC4A0_5;
+const CHAOS_SEED: u64 = 0xC4A05;
 
 fn make_snapshot(seed: u64) -> Snapshot {
     let mut rng = TensorRng::seed_from(seed);

@@ -10,6 +10,28 @@ cd "$(dirname "$0")/.."
 QUICK=0
 [[ "${1:-}" == "--quick" ]] && QUICK=1
 
+# plant FILE EVENT FIELDS FACTOR: prints FILE with each comma-separated
+# integer field in FIELDS multiplied by FACTOR on matmul's EVENT lines.
+# The gate self-tests plant their regressions in copies of real
+# artifacts this way, so no slowdown knob lives in the program.
+plant() {
+  awk -v ev="\"name\":\"$2\"" -v fields="$3" -v factor="$4" '
+    index($0, ev) && index($0, "\"kind\":\"matmul\"") {
+      n = split(fields, keys, ",")
+      for (i = 1; i <= n; i++) {
+        key = "\"" keys[i] "\":"
+        p = index($0, key)
+        if (p == 0) continue
+        head = substr($0, 1, p + length(key) - 1)
+        rest = substr($0, p + length(key))
+        match(rest, /^[0-9]+/)
+        $0 = head sprintf("%.0f", substr(rest, 1, RLENGTH) * factor) \
+          substr(rest, RLENGTH + 1)
+      }
+    }
+    { print }' "$1"
+}
+
 if [[ $QUICK -eq 0 ]]; then
   if command -v rustfmt >/dev/null 2>&1; then
     echo "== cargo fmt --check =="
@@ -19,8 +41,8 @@ if [[ $QUICK -eq 0 ]]; then
   fi
 fi
 
-echo "== cargo clippy --all-targets -- -D warnings =="
-cargo clippy --all-targets -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== nmcdr check (shape/graph verify + lint + concurrency) =="
 # Fails on any shape/reachability finding, any lint hit above the
@@ -82,14 +104,13 @@ echo "== kernel-profile smoke: deterministic dump, roofline report, diff gate ==
 # dump must be byte-identical (counts/FLOPs/bytes are analytic — any
 # diff is nondeterminism). The report joined with the run's trace must
 # rank matmul as the top op, the clean differential compare must pass,
-# and both CI injection knobs (a per-op busy-spin slowdown and a
-# doubled matmul FLOP model) must make it fail — a gate that cannot
+# and two planted regressions must make it fail — a gate that cannot
 # catch a planted regression is treated as broken.
 PROF_ARGS=(train --scenario music-movie --scale 0.002 --epochs 1 --dim 8
   --seed 7)
 PROF_DUMP=target/ci_profile.jsonl
 PROF_TRACE=target/ci_profile_trace.jsonl
-rm -f "$PROF_DUMP" "$PROF_DUMP.b" "$PROF_TRACE" "$PROF_TRACE.slow"
+rm -f "$PROF_DUMP" "$PROF_DUMP.b" "$PROF_TRACE"
 cargo run --release -q -p nm-cli -- "${PROF_ARGS[@]}" \
   --profile-out "$PROF_DUMP" --trace-out "$PROF_TRACE"
 cargo run --release -q -p nm-cli -- "${PROF_ARGS[@]}" \
@@ -107,22 +128,22 @@ grep -q '^machine peaks:' target/ci_profile_report.txt \
 cargo run --release -q -p nm-cli -- obs profile --profile "$PROF_DUMP" \
   --trace "$PROF_TRACE" --compare "$PROF_DUMP" --compare-trace "$PROF_TRACE" \
   || { echo "profile smoke: clean self-compare failed"; exit 1; }
-echo "== profile gate self-test: injected drift must fail the compare =="
-NMCDR_PROF_SLOW_OP=matmul:4 cargo run --release -q -p nm-cli -- \
-  "${PROF_ARGS[@]}" --profile-out "$PROF_DUMP.b" --trace-out "$PROF_TRACE.slow"
-if cargo run --release -q -p nm-cli -- obs profile --profile "$PROF_DUMP.b" \
-    --trace "$PROF_TRACE.slow" --compare "$PROF_DUMP" --compare-trace "$PROF_TRACE"; then
+echo "== profile gate self-test: planted drift must fail the compare =="
+# Timing: the same trace with matmul's measured self time 4x.
+plant "$PROF_TRACE" obs.profile.time fwd_ns,bwd_ns 4 > "$PROF_TRACE.plant"
+if cargo run --release -q -p nm-cli -- obs profile --profile "$PROF_DUMP" \
+    --trace "$PROF_TRACE.plant" --compare "$PROF_DUMP" --compare-trace "$PROF_TRACE"; then
   echo "profile gate self-test FAILED: 4x matmul slowdown went undetected"
   exit 1
 fi
-NMCDR_PROF_FLOPS_DRIFT=1 cargo run --release -q -p nm-cli -- \
-  "${PROF_ARGS[@]}" --profile-out "$PROF_DUMP.b"
-if cargo run --release -q -p nm-cli -- obs profile --profile "$PROF_DUMP.b" \
+# Counters: the same dump with matmul's modeled forward FLOPs doubled.
+plant "$PROF_DUMP" obs.profile.op fwd_flops 2 > "$PROF_DUMP.plant"
+if cargo run --release -q -p nm-cli -- obs profile --profile "$PROF_DUMP.plant" \
     --compare "$PROF_DUMP"; then
   echo "profile gate self-test FAILED: matmul FLOP-model drift went undetected"
   exit 1
 fi
-echo "profile gate self-test ok: both injected drifts detected"
+echo "profile gate self-test ok: both planted drifts detected"
 # archive the deterministic dump next to the bench trajectory
 mkdir -p results
 cp "$PROF_DUMP" results/PROFILE_ci_train.jsonl
@@ -220,18 +241,32 @@ if [[ ! -f "$BASELINE" ]]; then
 fi
 cargo run --release -q -p nm-cli -- bench --compare --baseline "$BASELINE"
 
-echo "== perf gate self-test: injected 2x merge slowdown must fail =="
-# Record a throwaway baseline at normal speed, then re-measure with the
-# top-K merge deliberately slowed 2x. If the comparison does not fail,
-# the gate is dead and CI must say so.
+echo "== perf gate self-test: a planted 4x regression must fail =="
+# Record a throwaway baseline, then compare against a copy of it with
+# every metric moved 4x in its good direction (train.steps_per_sec is
+# the suite's one higher-is-better metric). If that comparison does not
+# fail, the gate is dead and CI must say so.
 TMP_BASELINE=target/ci_bench_selftest.json
 NMCDR_BENCH_JSONL=0 cargo run --release -q -p nm-cli -- \
-  bench --record --baseline "$TMP_BASELINE" --runs 3
-if NMCDR_BENCH_JSONL=0 NMCDR_BENCH_SLOW_MERGE=2 cargo run --release -q -p nm-cli -- \
-    bench --compare --baseline "$TMP_BASELINE" --runs 3; then
-  echo "perf gate self-test FAILED: 2x merge slowdown went undetected"
+  bench --record --baseline "$TMP_BASELINE"
+awk '{
+  out = ""
+  while (match($0, /"[a-z0-9_.]+":[-+0-9.eE]+/)) {
+    pair = substr($0, RSTART, RLENGTH)
+    c = index(pair, ":")
+    name = substr(pair, 2, c - 3)
+    v = substr(pair, c + 1)
+    if (name != "version") v = (name == "train.steps_per_sec") ? v * 4 : v / 4
+    out = out substr($0, 1, RSTART - 1) substr(pair, 1, c) v
+    $0 = substr($0, RSTART + RLENGTH)
+  }
+  print out $0
+}' "$TMP_BASELINE" > "$TMP_BASELINE.plant"
+if NMCDR_BENCH_JSONL=0 cargo run --release -q -p nm-cli -- \
+    bench --compare --baseline "$TMP_BASELINE.plant"; then
+  echo "perf gate self-test FAILED: a 4x regression went undetected"
   exit 1
 fi
-echo "perf gate self-test ok: slowdown detected"
+echo "perf gate self-test ok: planted regression detected"
 
 echo "ci.sh: all green"
